@@ -1,11 +1,11 @@
-"""Exact linear algebra over plain rational matrices (lists of Fractions).
+"""Exact linear algebra over plain rational matrices (ints or Fractions).
 
 These routines back the flattened inversion of matrices over rational
 and matrix-scalar rings, the commutative determinant checks and the
-kernel construction used by the duality identity.  Everything is exact;
-the determinant uses fraction-free (Bareiss) elimination on an
-integer-scaled copy so it stays an independent route from the
-Gauss-Jordan inverse.
+kernel construction used by the duality identity.  Everything is exact.
+The inverse, the rank and the right kernel share one fraction-free
+Gauss-Jordan core on Python ints; the determinant runs its own Bareiss
+elimination so it stays an independent route from that core.
 """
 
 from __future__ import annotations
@@ -14,32 +14,71 @@ from fractions import Fraction
 from math import lcm
 
 
-def invert_rational(rows):
-    """Inverse of a square Fraction matrix, or None when singular."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in rows[i]]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators: (int rows, row scales)."""
+    out, scales = [], []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return out, scales
+
+
+def _eliminate(m, n_cols):
+    """Fraction-free Gauss-Jordan elimination of the int matrix ``m``, in place.
+
+    Pivots are sought in the first ``n_cols`` columns, at the first
+    nonzero entry on or below the current row.  Each step with pivot p
+    replaces every other row by ``(p * row - f * pivot_row) // prev``,
+    where f is the row's entry in the pivot column and prev the previous
+    pivot.  By Sylvester's identity (Bareiss, Math. Comp. 22, 1968) every
+    entry stays an integer minor of the input, so the division is exact.
+    Returns the pivot columns and the last pivot p: every pivot row ends
+    with p on its pivot, and row r divided by p is row r of the reduced
+    row echelon form.
+    """
+    n_rows = len(m)
+    pivots = []
+    prev = 1
+    for col in range(n_cols):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
+        for r in range(rank, n_rows):
+            if m[r][col]:
                 break
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
+        else:
+            continue
+        m[rank], m[r] = m[r], m[rank]
+        prow = m[rank]
+        p = prow[col]
+        for i, row in enumerate(m):
+            if i == rank:
                 continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = row[col]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(col)
+        prev = p
+    return pivots, prev
+
+
+def invert_rational(rows):
+    """Inverse of a square rational matrix, or None when singular."""
+    num, scales = _integer_rows(rows)
+    n = len(num)
+    # rows = diag(scales)^-1 num, so the inverse is num^-1 diag(scales):
+    # elimination takes [num | diag(scales)] to [p I | p num^-1 diag(scales)]
+    m = [
+        row + [scales[i] if j == i else 0 for j in range(n)]
+        for i, row in enumerate(num)
+    ]
+    pivots, p = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
 def det_bareiss(rows) -> Fraction:
@@ -80,70 +119,31 @@ def det_bareiss(rows) -> Fraction:
 
 
 def rational_rank(rows) -> int:
-    """Rank of a rational matrix by row echelon reduction."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank of a rational matrix."""
+    m, _ = _integer_rows(rows)
     if not m:
         return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return len(_eliminate(m, len(m[0]))[0])
 
 
 def right_kernel(rows):
     """Basis (as columns) of {v : M v = 0} for a rational matrix M.
 
     Returns a list of basis vectors, each a list of Fractions of length
-    n_cols.
+    n_cols: one per free column of the reduced row echelon form.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m, _ = _integer_rows(rows)
     if not m:
         return []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    n_cols = len(m[0])
+    pivots, p = _eliminate(m, n_cols)
     basis = []
-    for free in free_cols:
+    for free in range(n_cols):
+        if free in pivots:
+            continue
         v = [Fraction(0)] * n_cols
         v[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][free]
+            v[pc] = Fraction(-m[r][free], p)
         basis.append(v)
     return basis

@@ -41,7 +41,7 @@ class RatFormula:
         return Neg(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Const(RatFormula):
     value: Fraction
 
@@ -49,7 +49,7 @@ class Const(RatFormula):
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(RatFormula):
     name: str
 
@@ -58,24 +58,24 @@ class Var(RatFormula):
             raise ValueError("variable identifier must be nonempty")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Neg(RatFormula):
     child: RatFormula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Add(RatFormula):
     left: RatFormula
     right: RatFormula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mul(RatFormula):
     left: RatFormula
     right: RatFormula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Inv(RatFormula):
     child: RatFormula
 
@@ -315,8 +315,11 @@ def qdet_formula(n: int, p: int = 1, q: int = 1) -> RatFormula:
     """Formula for the (p, q) quasideterminant of an n x n generic matrix.
 
     Built by the defining recursion with memoized shared subterms, so
-    the inversion height grows by exactly one per matrix size.
+    the inversion height grows by exactly one per matrix size.  Each
+    entry is one shared ``Var`` node.
     """
+    labels = tuple(range(1, n + 1))
+    entry = {(i, j): entry_var(i, j) for i in labels for j in labels}
     memo: dict = {}
 
     def build(rows: tuple, cols: tuple, pp: int, qq: int) -> RatFormula:
@@ -324,17 +327,16 @@ def qdet_formula(n: int, p: int = 1, q: int = 1) -> RatFormula:
         if key in memo:
             return memo[key]
         if len(rows) == 1:
-            memo[key] = entry_var(rows[0], cols[0])
+            memo[key] = entry[rows[0], cols[0]]
             return memo[key]
         sub_rows = tuple(r for r in rows if r != pp)
         sub_cols = tuple(c for c in cols if c != qq)
-        result = entry_var(pp, qq)
+        result = entry[pp, qq]
         for i in sub_rows:
             for j in sub_cols:
                 minor = build(sub_rows, sub_cols, i, j)
-                result = result - entry_var(pp, j) * Inv(minor) * entry_var(i, qq)
+                result = result - entry[pp, j] * Inv(minor) * entry[i, qq]
         memo[key] = result
         return result
 
-    labels = tuple(range(1, n + 1))
     return build(labels, labels, p, q)

@@ -47,6 +47,13 @@ class RunConfig:
     dims: Optional[Sequence[int]] = None
     sizes: Optional[Sequence[int]] = None
 
+    def __post_init__(self):
+        # a run with no samples would report every identity verified
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.resample_limit < 1:
+            raise ValueError(f"resample_limit must be >= 1, got {self.resample_limit}")
+
     def to_json(self) -> dict:
         return {
             "seed": self.seed,

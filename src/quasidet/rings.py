@@ -19,7 +19,10 @@ checks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -196,48 +199,80 @@ class Rationals(ScalarRing):
 
 
 class MatScalar:
-    """Immutable d x d matrix of Fractions, used as a single ring scalar."""
+    """Immutable d x d rational matrix, used as a single ring scalar.
 
-    __slots__ = ("d", "rows")
+    Stored as an integer matrix ``num`` over one positive denominator
+    ``den`` with ``gcd(den, *num) == 1``, so every rational matrix has
+    exactly one representation and arithmetic runs on Python ints.
+    ``MatScalar(rows)`` takes rows of ints or Fractions;
+    ``MatScalar(num, den)`` takes a tuple of int-tuples over any nonzero
+    int ``den`` and reduces it.
+    """
 
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        d = len(rows)
-        if any(len(r) != d for r in rows):
-            raise ValueError("matrix scalar must be square")
-        self.d = d
-        self.rows = rows
+    __slots__ = ("d", "num", "den")
+
+    def __init__(self, rows, den=None):
+        if den is None:
+            rows = tuple(tuple(r) for r in rows)
+            d = len(rows)
+            if any(len(r) != d for r in rows):
+                raise ValueError("matrix scalar must be square")
+            # the lcm of reduced denominators leaves no common factor
+            den = lcm(*(x.denominator for r in rows for x in r))
+            rows = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in r) for r in rows
+            )
+        elif den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if den < 0:
+                g = -g
+            if g != 1:
+                rows = tuple(tuple(x // g for x in r) for r in rows)
+                den //= g
+        self.d = len(rows)
+        self.num = rows
+        self.den = den
+
+    @property
+    def rows(self):
+        """The entries as canonical Fractions, row by row."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
 
     def __add__(self, other):
-        self._check(other)
-        return MatScalar(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
         self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            return MatScalar(
+                tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)),
+                da,
+            )
         return MatScalar(
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+                tuple(op(x * db, y * da) for x, y in zip(ra, rb))
+                for ra, rb in zip(self.num, other.num)
+            ),
+            da * db,
         )
 
     def __neg__(self):
-        return MatScalar(tuple(tuple(-a for a in r) for r in self.rows))
+        return MatScalar(tuple(tuple(-x for x in r) for r in self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        d = self.d
-        cols = tuple(zip(*other.rows))
+        cols = tuple(zip(*other.num))
         return MatScalar(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+                tuple(sum(map(operator.mul, row, col)) for col in cols)
+                for row in self.num
+            ),
+            self.den * other.den,
         )
 
     def _check(self, other):
@@ -245,7 +280,11 @@ class MatScalar:
             raise TypeError("dimension mismatch between matrix scalars")
 
     def __eq__(self, other):
-        return isinstance(other, MatScalar) and self.rows == other.rows
+        return (
+            isinstance(other, MatScalar)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
         return hash(self.rows)
@@ -266,9 +305,9 @@ class SquareMatrices(ScalarRing):
         self.d = d
         self.name = f"M{d}(Q)"
         self.flat_dim = d
-        self._zero = MatScalar([[Fraction(0)] * d for _ in range(d)])
+        self._zero = MatScalar([[0] * d for _ in range(d)])
         self._one = MatScalar(
-            [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+            [[int(i == j) for j in range(d)] for i in range(d)]
         )
 
     @property
@@ -282,7 +321,7 @@ class SquareMatrices(ScalarRing):
     def try_invert(self, a: MatScalar):
         from .exactlin import invert_rational
 
-        inv = invert_rational([list(r) for r in a.rows])
+        inv = invert_rational(a.rows)
         if inv is None:
             return None
         return MatScalar(inv)
@@ -290,13 +329,13 @@ class SquareMatrices(ScalarRing):
     def from_int(self, m: int):
         d = self.d
         return MatScalar(
-            [[Fraction(m if i == j else 0) for j in range(d)] for i in range(d)]
+            [[m if i == j else 0 for j in range(d)] for i in range(d)]
         )
 
     def scalar_matrix(self, x: Fraction):
         d = self.d
         return MatScalar(
-            [[x if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+            [[x if i == j else 0 for j in range(d)] for i in range(d)]
         )
 
     def unit(self, i: int, j: int):
@@ -304,7 +343,7 @@ class SquareMatrices(ScalarRing):
         d = self.d
         return MatScalar(
             [
-                [Fraction(1 if (r, c) == (i - 1, j - 1) else 0) for c in range(d)]
+                [int((r, c) == (i - 1, j - 1)) for c in range(d)]
                 for r in range(d)
             ]
         )

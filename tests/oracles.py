@@ -98,3 +98,106 @@ def vandermonde_ratio_classical(values):
     full = det_leibniz(mat)
     sub = det_leibniz([row[: m - 1] for row in mat[1:]])
     return Fraction(-1) ** (1 + m) * full / sub
+
+
+# The Fraction Gauss-Jordan kernels that quasidet.exactlin ran before its
+# fraction-free integer core, kept unchanged as the reference that core is
+# checked against.
+
+
+def invert_gauss_jordan(rows):
+    """Inverse of a square Fraction matrix, or None when singular."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in rows[i]]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if aug[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r == col or aug[r][col] == 0:
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def rank_gauss_jordan(rows) -> int:
+    """Rank of a rational matrix by row echelon reduction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(rank, n_rows):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def kernel_gauss_jordan(rows):
+    """Basis (as columns) of {v : M v = 0} for a rational matrix M.
+
+    Returns a list of basis vectors, each a list of Fractions of length
+    n_cols.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(rank, n_rows):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == n_rows:
+            break
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for free in free_cols:
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][free]
+        basis.append(v)
+    return basis

@@ -156,5 +156,14 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["verify", "--only", "NOPE"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--resample-limit"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_sample_counts_are_usage_errors(flag, value, capsys):
+    assert main(["verify", "--only", "RING-AXIOMS", flag, value]) == 3
+    out, err = capsys.readouterr()
+    assert "verified" not in out
+    assert "must be >= 1" in err
+
+
 def test_bad_subcommand_exit_code():
     assert main(["not-a-command"]) == 3

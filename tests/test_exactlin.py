@@ -1,6 +1,14 @@
 from fractions import Fraction
 
-from oracles import det_leibniz, rank_by_minors
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    det_leibniz,
+    invert_gauss_jordan,
+    kernel_gauss_jordan,
+    rank_by_minors,
+    rank_gauss_jordan,
+)
 
 from quasidet.exactlin import (
     det_bareiss,
@@ -75,3 +83,44 @@ def test_right_kernel_annihilates(rng):
         for vec in basis:
             for row in mat:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+entries = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 10))
+
+
+@st.composite
+def matrices(draw, max_rows, max_cols=None):
+    """Rational matrices, square when ``max_cols`` is None.  About half get
+    rows replaced by small integer combinations of two rows (zero rows
+    included), so singular and rank-deficient cases are common."""
+    n = draw(st.integers(1, max_rows))
+    m = n if max_cols is None else draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, n - 1))):
+            i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=18))
+def test_inverse_matches_fraction_gauss_jordan(mat):
+    # 18 x 18 is the flattened minor of CAYLEY-HAMILTON at n = 3, d = 3
+    assert invert_rational(mat) == invert_gauss_jordan(mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_rows=7, max_cols=9))
+def test_rank_and_kernel_match_fraction_gauss_jordan(mat):
+    assert rational_rank(mat) == rank_gauss_jordan(mat)
+    assert right_kernel(mat) == kernel_gauss_jordan(mat)
+
+
+def test_kernel_of_zero_rows_is_everything():
+    zero = [[Fraction(0)] * 3 for _ in range(2)]
+    assert rational_rank(zero) == 0
+    assert right_kernel(zero) == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]

@@ -22,6 +22,7 @@ from quasidet.formula import (
     to_text,
     var,
 )
+from quasidet.formula import _postorder
 from quasidet.identity import (
     COUNTEREXAMPLE,
     DOMAIN_EXHAUSTED,
@@ -79,7 +80,16 @@ def test_height_examples():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_qdet_formula_height(n):
-    assert formula_height(qdet_formula(n)) == n - 1
+    f = qdet_formula(n)
+    assert formula_height(f) == n - 1
+    # one shared Var node per entry, however often the recursion uses it
+    assert sum(isinstance(node, Var) for node in _postorder(f)) == n * n
+
+
+def test_formula_nodes_have_no_instance_dict():
+    x = var("x")
+    for node in (Const(1), x, Neg(x), Add(x, x), Mul(x, x), Inv(x)):
+        assert not hasattr(node, "__dict__")
 
 
 def test_qdet_formula_evaluates_like_direct_arithmetic():

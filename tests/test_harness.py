@@ -163,6 +163,12 @@ class TestRunSemantics:
         with pytest.raises(KeyError):
             run_suite(RunConfig(only=["NOT-AN-ID"]))
 
+    @pytest.mark.parametrize("field", ["samples", "resample_limit"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_sample_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
     def test_filters_by_module(self):
         report = run_suite(RunConfig(seed=3, samples=1, modules=["contfrac"]))
         assert report["identities"]

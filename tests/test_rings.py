@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from quasidet.rings import (
     DomainError,
+    MatScalar,
     QRat,
     QRationalFunctions,
     Rationals,
     SampleProfile,
     SquareMatrices,
     TruncatedSeriesRing,
+    format_fraction,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -85,6 +88,55 @@ def test_rational_serialization_roundtrip(num, den):
     Q = Rationals()
     x = Fraction(num, den)
     assert Q.deserialize(Q.serialize(x)) == x
+
+
+def fraction_rows(d):
+    entry = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 10))
+    row = st.lists(entry, min_size=d, max_size=d)
+    return st.lists(row, min_size=d, max_size=d)
+
+
+def matscalars(d):
+    return fraction_rows(d).map(MatScalar)
+
+
+def assert_canonical(a):
+    assert a.den > 0
+    assert gcd(a.den, *(x for r in a.num for x in r)) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_matscalar_canonical_form(d, data):
+    a, b = data.draw(matscalars(d)), data.draw(matscalars(d))
+    ring = SquareMatrices(d)
+    for x in (a, b, a + b, a - b, -a, a * b, ring.zero, ring.one):
+        assert_canonical(x)
+        assert x.rows == tuple(
+            tuple(Fraction(v, x.den) for v in r) for r in x.num
+        )
+    assert ring.zero.den == 1 and (a - a).den == 1 and a - a == ring.zero
+    inv = ring.try_invert(a)
+    if inv is not None:
+        assert_canonical(inv)
+    # == and hash follow the Fraction entries, whatever the operands' denominators
+    assert (a == b) == (a.rows == b.rows)
+    twice = a + a
+    assert twice == MatScalar([[2 * v for v in r] for r in a.rows])
+    assert hash(twice) == hash(MatScalar(twice.rows)) == hash(twice.rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_matscalar_serialization_strings(d, data):
+    rows = data.draw(fraction_rows(d))
+    ring = SquareMatrices(d)
+    a = MatScalar(rows)
+    text = ring.serialize(a)
+    # the same strings the Fraction-entry representation wrote
+    assert text == [[format_fraction(Fraction(x)) for x in r] for r in rows]
+    back = ring.deserialize(text)
+    assert back == a and back.num == a.num and back.den == a.den
 
 
 def test_series_invertible_iff_leading_coefficient_is(rng, M2):
