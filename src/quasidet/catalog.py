@@ -2054,7 +2054,7 @@ def check_rogers_ramanujan(ctx: CheckContext):
     for k in range(order + 1):
         ctx.compare(f"z-coefficient-{k}", lhs.coeffs[k], rhs.coeffs[k], base)
     ctx.compare("first-coefficient-value", lhs.coeffs[1], -base.q(), base)
-    deeper, _ = cf.rr_sides(order, depth + 1)
+    deeper = cf.rr_continued_fraction(order, depth + 1)
     for k in range(order + 1):
         ctx.compare(f"depth-stability-{k}", deeper.coeffs[k], lhs.coeffs[k], base)
 

@@ -172,10 +172,25 @@ def evaluate(f: RatFormula, assignment: dict, ring: ScalarRing):
 
 def formula_height(f: RatFormula) -> int:
     """Maximal number of nested inversions along any path."""
+    # one walk over the DAG: a node is settled once all its children are
     heights: dict[int, int] = {}
-    for node in _postorder(f):
-        child_max = max((heights[id(c)] for c in _children(node)), default=0)
-        heights[id(node)] = child_max + (1 if isinstance(node, Inv) else 0)
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in heights:
+            stack.pop()
+            continue
+        height, pending = 0, False
+        for child in _children(node):
+            h = heights.get(id(child))
+            if h is None:
+                stack.append(child)
+                pending = True
+            elif h > height:
+                height = h
+        if not pending:
+            stack.pop()
+            heights[id(node)] = height + isinstance(node, Inv)
     return heights[id(f)]
 
 

@@ -5,9 +5,10 @@ Verdict semantics per identity: ``verified`` when every sampled cell
 evaluated successfully with no mismatch; ``counterexample`` on the first
 exact mismatch (the drawn inputs and both sides are stored and replay
 bit-exactly); ``domain_exhausted`` when some sample slot ran out of
-resampling attempts.  Control entries expect a counterexample, so the
-aggregate outcome of a run compares each verdict against its
-expectation.
+resampling attempts; ``no_cells`` when the ``dims``/``sizes`` filters leave
+the identity no cell, so nothing was sampled.  Control entries expect a
+counterexample, so the aggregate outcome of a run compares each verdict
+against its expectation; ``no_cells`` never meets an expectation.
 
 Exit codes: 0 when every identity meets its expectation, 1 when any
 identity yields an unexpected counterexample (or a control fails to
@@ -26,6 +27,7 @@ from .catalog import CATALOG, CheckContext, IdentityDescriptor, MismatchFound, g
 from .identity import (
     COUNTEREXAMPLE,
     DOMAIN_EXHAUSTED,
+    NO_CELLS,
     VERIFIED,
     IdentityVerdict,
     ring_for_dimension,
@@ -91,6 +93,9 @@ def run_identity(
         cells = tuple((n, d) for (n, d) in cells if d in config.dims or d == 0)
     if config.sizes:
         cells = tuple((n, d) for (n, d) in cells if n in config.sizes or n == 0)
+    if not cells:
+        verdict.status = NO_CELLS
+        return verdict
     samples = desc.samples if desc.samples is not None else config.samples
     for (n, d) in cells:
         cell = {
@@ -147,7 +152,7 @@ def run_suite(config: Optional[RunConfig] = None) -> dict:
     config = config or RunConfig()
     start = time.time()
     entries = []
-    counts = {VERIFIED: 0, COUNTEREXAMPLE: 0, DOMAIN_EXHAUSTED: 0}
+    counts = dict.fromkeys((VERIFIED, COUNTEREXAMPLE, DOMAIN_EXHAUSTED, NO_CELLS), 0)
     unexpected = []
     for desc in _selected(config):
         verdict = run_identity(desc, config)
@@ -177,8 +182,8 @@ def run_suite(config: Optional[RunConfig] = None) -> dict:
         if entry["status"] == DOMAIN_EXHAUSTED:
             exit_code = max(exit_code, 2)
         else:
-            # an unexpected counterexample, or a control/witness entry
-            # that verified instead of failing
+            # an unexpected counterexample, a control/witness entry that
+            # verified instead of failing, or an identity with no cell
             exit_code = 1
             break
     report = {

@@ -25,6 +25,8 @@ from .sampling import sample_assignment, substream
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 DOMAIN_EXHAUSTED = "domain_exhausted"
+# the cell filters of a run left the identity nothing to sample
+NO_CELLS = "no_cells"
 
 
 def ring_for_dimension(d: int) -> ScalarRing:

@@ -236,18 +236,28 @@ class NcMatrix:
     def __mul__(self, other: "NcMatrix") -> "NcMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch in product")
-        zero = self.ring.zero
-        bt = tuple(zip(*other.entries))
+        ring = self.ring
+        is_zero = ring.is_zero
+        # the nonzero entries of each column, by row position
+        cols = [
+            {k: b for k, b in enumerate(col) if not is_zero(b)}
+            for col in zip(*other.entries)
+        ]
+        zero = ring.zero
         rows = []
         for row in self.entries:
+            terms = [(k, a) for k, a in enumerate(row) if not is_zero(a)]
             out = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out.append(acc)
+            for col in cols:
+                acc = None
+                for k, a in terms:
+                    b = col.get(k)
+                    if b is not None:
+                        term = a * b
+                        acc = term if acc is None else acc + term
+                out.append(zero if acc is None else acc)
             rows.append(out)
-        return NcMatrix(self.ring, rows, self.row_labels, other.col_labels)
+        return NcMatrix(ring, rows, self.row_labels, other.col_labels)
 
     def scale_left(self, lam) -> "NcMatrix":
         return NcMatrix(
@@ -333,13 +343,16 @@ class NcMatrix:
             for k in range(L + 1)
         ]
         b0 = coeff_mats[0].inverse()
+        tail = [(i, c) for i, c in enumerate(coeff_mats) if i and not c.is_zero_matrix()]
         out = [b0]
         for k in range(1, L + 1):
             acc = None
-            for i in range(1, k + 1):
-                term = coeff_mats[i] * out[k - i]
+            for i, c in tail:
+                if i > k:
+                    break
+                term = c * out[k - i]
                 acc = term if acc is None else acc + term
-            out.append(-(b0 * acc))
+            out.append(NcMatrix.zero(base, n, n) if acc is None else -(b0 * acc))
         rows = [
             [
                 SeriesElement(ring, [out[k].entries[i][j] for k in range(L + 1)])
@@ -539,6 +552,9 @@ class MatrixRing(ScalarRing):
                 for i in range(self.n)
             ],
         )
+
+    def is_zero(self, a: NcMatrix) -> bool:
+        return a.is_zero_matrix()
 
     def try_invert(self, a: NcMatrix):
         try:

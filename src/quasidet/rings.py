@@ -9,7 +9,8 @@ invert (partially), sample and serialize its elements.  Concrete rings:
 * ``TruncatedSeriesRing``  -- truncated power series in a central variable
                               with coefficients from any base ring,
 * ``QRationalFunctions``   -- exact rational functions in one commuting
-                              variable q (reduced fractions of polynomials).
+                              variable q (pairs of coprime integer
+                              polynomials).
 
 Series over ``SquareMatrices`` provide the t-graded scalars used by the
 derivation and formal-series checks; series over ``QRationalFunctions``
@@ -167,6 +168,9 @@ class Rationals(ScalarRing):
     def one(self):
         return Fraction(1)
 
+    def is_zero(self, a) -> bool:
+        return not a
+
     def try_invert(self, a):
         a = Fraction(a)
         if a == 0:
@@ -318,6 +322,10 @@ class SquareMatrices(ScalarRing):
     def one(self):
         return self._one
 
+    def is_zero(self, a: MatScalar) -> bool:
+        # the canonical zero has denominator 1
+        return a.den == 1 and not any(map(any, a.num))
+
     def try_invert(self, a: MatScalar):
         from .exactlin import invert_rational
 
@@ -370,11 +378,17 @@ class SquareMatrices(ScalarRing):
         return MatScalar(rows)
 
 
+def _zeros_filled(coeffs, base):
+    """``coeffs`` with each ``None`` (an empty sum) replaced by zero."""
+    zero = base.zero
+    return [zero if c is None else c for c in coeffs]
+
+
 class SeriesElement:
     """Truncated power series c_0 + c_1 t + ... + c_L t^L, t central.
 
     Coefficients live in the base ring of ``ring``; products above t^L
-    are dropped.
+    are dropped, and so are terms with an exact-zero factor.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -409,15 +423,21 @@ class SeriesElement:
 
     def __mul__(self, other):
         self._check(other)
-        L = self.ring.order
-        base = self.ring.base
-        out = []
-        for k in range(L + 1):
-            acc = base.zero
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return SeriesElement(self.ring, out)
+        ring = self.ring
+        L = ring.order
+        is_zero = ring.base.is_zero
+        right = [(j, y) for j, y in enumerate(other.coeffs) if not is_zero(y)]
+        out = [None] * (L + 1)
+        for i, x in enumerate(self.coeffs):
+            if is_zero(x):
+                continue
+            for j, y in right:
+                k = i + j
+                if k > L:
+                    break
+                term = x * y
+                out[k] = term if out[k] is None else out[k] + term
+        return SeriesElement(ring, _zeros_filled(out, ring.base))
 
     def __eq__(self, other):
         return (
@@ -478,17 +498,29 @@ class TruncatedSeriesRing(ScalarRing):
     def coefficient(self, a: SeriesElement, k: int):
         return a.coeffs[k]
 
+    def is_zero(self, a: SeriesElement) -> bool:
+        return all(map(self.base.is_zero, a.coeffs))
+
     def try_invert(self, a: SeriesElement):
-        b0 = self.base.try_invert(a.coeffs[0])
+        base = self.base
+        b0 = base.try_invert(a.coeffs[0])
         if b0 is None:
             return None
+        is_zero = base.is_zero
+        tail = [(i, c) for i, c in enumerate(a.coeffs) if i and not is_zero(c)]
+        # out[k] = -b0 * sum_{i >= 1} a_i out[k - i], None for an empty sum
         out = [b0]
         for k in range(1, self.order + 1):
-            acc = self.base.zero
-            for i in range(1, k + 1):
-                acc = acc + a.coeffs[i] * out[k - i]
-            out.append(-(b0 * acc))
-        return SeriesElement(self, out)
+            acc = None
+            for i, c in tail:
+                if i > k:
+                    break
+                y = out[k - i]
+                if y is not None:
+                    term = c * y
+                    acc = term if acc is None else acc + term
+            out.append(None if acc is None else -(b0 * acc))
+        return SeriesElement(self, _zeros_filled(out, base))
 
     def from_int(self, m: int):
         return self.element([self.base.from_int(m)])
@@ -516,6 +548,10 @@ class TruncatedSeriesRing(ScalarRing):
 
 # ---------------------------------------------------------------------------
 # polynomials and rational functions in one commuting variable q
+#
+# A polynomial is a tuple of coefficients, lowest degree first, with no
+# trailing zeros; () is the zero polynomial.  The public helpers take ints
+# or Fractions; the ``_``-named ones work on ints only.
 
 
 def poly_trim(coeffs) -> tuple:
@@ -525,30 +561,8 @@ def poly_trim(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
 def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
+    return _pmul(poly_trim(a), poly_trim(b))
 
 
 def poly_divmod(a, b):
@@ -570,66 +584,182 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)  # monic
+    """Monic gcd of two rational polynomials; () when both are zero."""
+    g = _pgcd(_integral(poly_trim(a)), _integral(poly_trim(b)))
+    return tuple(Fraction(c, g[-1]) for c in g)
+
+
+def _integral(coeffs) -> tuple:
+    """Rational coefficients times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+
+
+def _padd(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _pmul(a, b) -> tuple:
+    # the leading product is nonzero, so the result needs no trimming
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _primitive(p) -> tuple:
+    """``p`` over its integer content, leading coefficient made positive."""
+    if not p:
+        return p
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return p if c == 1 else tuple(x // c for x in p)
+
+
+def _prem(a, b) -> list:
+    """The remainder of ``a`` on division by ``b``, times a nonzero integer;
+    each step scales ``a`` only by what the leading terms need."""
+    a = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(a) > db:
+        la = a.pop()
+        shift = len(a) - db
+        if la % lb:
+            g = gcd(la, lb)
+            scale, la = lb // g, la // g
+            a = [x * scale for x in a]
+        else:
+            la //= lb
+        for i in range(db):
+            a[shift + i] -= la * b[i]
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
+def _pgcd(a, b) -> tuple:
+    """Primitive gcd, leading coefficient positive, of two integer
+    polynomials, by the primitive polynomial remainder sequence (G. E.
+    Collins, J. ACM 14, 1967); () when both are zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    if not b:
+        return a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
+
+
+def _pexquo(a, b) -> tuple:
+    """``a / b`` for integer polynomials when ``b`` is primitive and divides
+    ``a``: by Gauss's lemma the quotient has integer coefficients, so each
+    leading division is exact."""
+    a = list(a)
+    lb, db = b[-1], len(b) - 1
+    quot = [0] * (len(a) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = a[shift + db] // lb
+        quot[shift] = f
+        if f:
+            for i in range(db):
+                a[shift + i] -= f * b[i]
+    return tuple(quot)
+
+
+def _reduced(n, d):
+    """The canonical integer pair for the rational function n/d (``d``
+    nonzero): coprime, no common integer content, ``d`` leading positive."""
+    if not n:
+        return (), (1,)
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n, d = _pexquo(n, g), _pexquo(d, g)
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    return n, d
+
+
+def _qrat(n, d) -> "QRat":
+    """A QRat from an integer pair already in canonical form."""
+    x = object.__new__(QRat)
+    x._n = n
+    x._d = d
+    return x
+
+
 class QRat:
-    """Reduced fraction of rational-coefficient polynomials in q."""
+    """Reduced fraction of rational-coefficient polynomials in q.
 
-    __slots__ = ("num", "den")
+    Stored as two coprime integer polynomials ``_n``/``_d`` with no common
+    integer content and a positive leading coefficient of ``_d``.  Each
+    rational function has exactly one such form, so ``==`` and ``hash``
+    compare tuples.  ``num`` and ``den`` give the value as Fraction tuples
+    over a monic denominator.  Every QRat is stored reduced; ``normalize``
+    is accepted for callers of the earlier signature and changes nothing.
+    """
 
-    def __init__(self, num, den=(Fraction(1),), normalize=True):
-        num = poly_trim(num)
-        den = poly_trim(den)
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, num, den=(1,), normalize=True):
+        num, den = poly_trim(num), poly_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if normalize:
-            if not num:
-                den = (Fraction(1),)
-            else:
-                g = poly_gcd(num, den)
-                if len(g) > 1:
-                    num, _ = poly_divmod(num, g)
-                    den, _ = poly_divmod(den, g)
-                lead = den[-1]
-                if lead != 1:
-                    num = tuple(c / lead for c in num)
-                    den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
+        ints = _integral(num + den)
+        self._n, self._d = _reduced(ints[: len(num)], ints[len(num) :])
+
+    @property
+    def num(self):
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self):
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
 
     def __add__(self, other):
-        return QRat(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if d1 == d2:
+            return _qrat(*_reduced(_padd(n1, n2), d1))
+        return _qrat(*_reduced(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return QRat(poly_neg(self.num), self.den, normalize=False)
+        return _qrat(tuple(-c for c in self._n), self._d)
 
     def __mul__(self, other):
-        return QRat(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        return _qrat(*_reduced(_pmul(self._n, other._n), _pmul(self._d, other._d)))
 
     def __eq__(self, other):
         if not isinstance(other, QRat):
             return NotImplemented
-        # cross-multiplication of reduced fractions
-        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        # hash through the canonical form so cross-multiplied equals agree
-        canonical = QRat(self.num, self.den)
-        return hash((canonical.num, canonical.den))
+        return hash((self._n, self._d))
 
     def __repr__(self):
         def fmt(p):
@@ -647,7 +777,7 @@ class QRat:
                     parts.append(f"{format_fraction(c)}*q^{k}" if c != 1 else f"q^{k}")
             return " + ".join(parts)
 
-        if self.den == (Fraction(1),):
+        if len(self._d) == 1:
             return fmt(self.num)
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
@@ -660,23 +790,28 @@ class QRationalFunctions(ScalarRing):
 
     @property
     def zero(self):
-        return QRat(())
+        return _qrat((), (1,))
 
     @property
     def one(self):
-        return QRat((Fraction(1),))
+        return _qrat((1,), (1,))
 
     def q(self, power: int = 1):
-        coeffs = [Fraction(0)] * power + [Fraction(1)]
-        return QRat(tuple(coeffs), normalize=False)
+        return _qrat((0,) * power + (1,), (1,))
+
+    def is_zero(self, a: QRat) -> bool:
+        return not a._n
 
     def try_invert(self, a: QRat):
-        if not a.num:
+        n, d = a._d, a._n
+        if not d:
             return None
-        return QRat(a.den, a.num)
+        if d[-1] < 0:
+            n, d = tuple(-c for c in n), tuple(-c for c in d)
+        return _qrat(n, d)
 
     def from_int(self, m: int):
-        return QRat((Fraction(m),)) if m else QRat(())
+        return _qrat((m,) if m else (), (1,))
 
     def random_element(self, rng, profile=None):
         profile = profile or DEFAULT_PROFILE

@@ -201,3 +201,174 @@ def kernel_gauss_jordan(rows):
             v[pc] = -m[r][free]
         basis.append(v)
     return basis
+
+
+# Rational functions in q as quasidet.rings.QRat computed them before it
+# moved to integer polynomials: Fraction coefficients, Euclid's algorithm
+# for the gcd, a monic denominator.  Kept unchanged as the reference that
+# the integer form is checked against.
+
+
+def poly_trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return poly_trim(out)
+
+
+def poly_neg(a):
+    return tuple(-c for c in a)
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    while len(a) >= len(b) and poly_trim(a):
+        a = list(poly_trim(a))
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        factor = a[-1] * inv_lead
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+    return poly_trim(q), poly_trim(a)
+
+
+def poly_gcd(a, b):
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = tuple(c / lead for c in a)  # monic
+    return a
+
+
+class FractionQRat:
+    """Reduced fraction of rational-coefficient polynomials in q."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(Fraction(1),), normalize=True):
+        num = poly_trim(num)
+        den = poly_trim(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if normalize:
+            if not num:
+                den = (Fraction(1),)
+            else:
+                g = poly_gcd(num, den)
+                if len(g) > 1:
+                    num, _ = poly_divmod(num, g)
+                    den, _ = poly_divmod(den, g)
+                lead = den[-1]
+                if lead != 1:
+                    num = tuple(c / lead for c in num)
+                    den = tuple(c / lead for c in den)
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        return FractionQRat(
+            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
+            poly_mul(self.den, other.den),
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionQRat(poly_neg(self.num), self.den, normalize=False)
+
+    def __mul__(self, other):
+        return FractionQRat(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+
+    def __eq__(self, other):
+        # cross-multiplication of reduced fractions
+        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
+
+    def invert(self):
+        """The reciprocal, or None for zero."""
+        if not self.num:
+            return None
+        return FractionQRat(self.den, self.num)
+
+    def serialize(self):
+        def fmt(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+        return {"num": [fmt(c) for c in self.num], "den": [fmt(c) for c in self.den]}
+
+
+# Dense products over any ring, with no zero skipping: the loops
+# quasidet.rings.SeriesElement.__mul__, TruncatedSeriesRing.try_invert and
+# quasidet.matrix.NcMatrix.__mul__ ran before they learnt to skip exact
+# zeros.  Each sum starts from the ring's zero and takes every term.
+
+
+def dense_series_mul(ring, a, b):
+    """Coefficients of the truncated product of two series of ``ring``."""
+    out = []
+    for k in range(ring.order + 1):
+        acc = ring.base.zero
+        for i in range(k + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+        out.append(acc)
+    return out
+
+
+def dense_series_inverse(ring, a):
+    """Coefficients of the inverse of a series of ``ring``, or None."""
+    b0 = ring.base.try_invert(a.coeffs[0])
+    if b0 is None:
+        return None
+    out = [b0]
+    for k in range(1, ring.order + 1):
+        acc = ring.base.zero
+        for i in range(1, k + 1):
+            acc = acc + a.coeffs[i] * out[k - i]
+        out.append(-(b0 * acc))
+    return out
+
+
+def dense_matrix_mul(ring, rows_a, rows_b):
+    """Entries of the product of two matrices given as rows over ``ring``."""
+    cols = list(zip(*rows_b))
+    out = []
+    for row in rows_a:
+        line = []
+        for col in cols:
+            acc = ring.zero
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            line.append(acc)
+        out.append(line)
+    return out

@@ -165,5 +165,13 @@ def test_nonpositive_sample_counts_are_usage_errors(flag, value, capsys):
     assert "must be >= 1" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--dims", "7"), ("--sizes", "99")])
+def test_filters_leaving_no_cell_fail_the_run(flag, value, capsys):
+    assert main(["verify", "--only", "QDET-DEF-AGREE", flag, value]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL QDET-DEF-AGREE" in out and "no_cells" in out
+    assert "0 verified" in out
+
+
 def test_bad_subcommand_exit_code():
     assert main(["not-a-command"]) == 3

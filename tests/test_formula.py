@@ -78,6 +78,14 @@ def test_height_examples():
     assert formula_height(parse("x + y * x")) == 0
 
 
+def test_height_of_deep_inversion_chain():
+    # far deeper than the interpreter's recursion limit
+    f = var("x")
+    for _ in range(10_000):
+        f = Inv(f)
+    assert formula_height(f) == 10_000
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_qdet_formula_height(n):
     f = qdet_formula(n)

@@ -169,6 +169,17 @@ class TestRunSemantics:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("filters", [{"dims": [7]}, {"sizes": [99]}])
+    def test_identity_left_without_cells_is_not_verified(self, filters):
+        report = run_suite(RunConfig(seed=3, samples=1, only=["QDET-DEF-AGREE"], **filters))
+        entry = report["identities"][0]
+        assert entry["status"] == "no_cells"
+        assert entry["cells"] == [] and entry["attempted"] == 0
+        assert not entry["met_expectation"]
+        assert report["summary"]["verified"] == 0
+        assert report["summary"]["unexpected"] == ["QDET-DEF-AGREE"]
+        assert report["exit_code"] == 1
+
     def test_filters_by_module(self):
         report = run_suite(RunConfig(seed=3, samples=1, modules=["contfrac"]))
         assert report["identities"]

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasidet.rings import (
@@ -194,6 +195,73 @@ def test_poly_gcd_and_divmod():
     assert g == (one, one)
     quot, rem = poly_divmod(a, (one, one))
     assert quot == (one, one) and rem == ()
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def polys(max_deg, nonzero=False):
+    """Fraction polynomials of degree <= max_deg, low degree first."""
+    coeffs = st.lists(small_fractions, min_size=int(nonzero), max_size=max_deg + 1)
+    if nonzero:
+        return coeffs.map(lambda p: tuple(p[:-1]) + (p[-1] or Fraction(1),))
+    return coeffs.map(oracles.poly_trim)
+
+
+@st.composite
+def qrat_operands(draw):
+    """Two unreduced (num, den) pairs of degree <= 8.  Each pair shares a
+    planted factor between its numerator and denominator, and the two
+    denominators share another."""
+    shared = draw(polys(2, nonzero=True))
+    pairs = []
+    for _ in range(2):
+        common = draw(polys(3, nonzero=True))
+        num, den = draw(polys(5)), draw(polys(3, nonzero=True))
+        pairs.append(
+            (
+                oracles.poly_mul(num, common),
+                oracles.poly_mul(oracles.poly_mul(den, common), shared),
+            )
+        )
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(qrat_operands(), polys(2, nonzero=True))
+def test_qrat_matches_fraction_oracle(operands, factor):
+    F = QRationalFunctions()
+    (xn, xd), (yn, yd) = operands
+    x, y = QRat(xn, xd), QRat(yn, yd)
+    ox, oy = oracles.FractionQRat(xn, xd), oracles.FractionQRat(yn, yd)
+    pairs = [(x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox)]
+    if ox.invert() is None:
+        assert F.try_invert(x) is None
+    else:
+        pairs.append((F.try_invert(x), ox.invert()))
+    for got, want in pairs:
+        assert (got.num, got.den) == (want.num, want.den)
+        assert F.serialize(got) == want.serialize()
+        assert F.deserialize(F.serialize(got)) == got
+    assert (x == y) == (ox == oy)
+    # the same value written over another common factor
+    z = QRat(oracles.poly_mul(xn, factor), oracles.poly_mul(xd, factor), normalize=False)
+    assert x == z and hash(x) == hash(z)
+    assert poly_gcd(xn, xd) == oracles.poly_gcd(xn, xd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qrat_operands())
+def test_qrat_integer_form_is_canonical(operands):
+    (xn, xd), _ = operands
+    x = QRat(xn, xd)
+    n, d = x._n, x._d
+    assert all(isinstance(c, int) for c in n + d)
+    assert d[-1] > 0 and gcd(*n, *d) == 1
+    if n:
+        assert poly_gcd(n, d) == (1,)
+    else:
+        assert d == (1,)
 
 
 @pytest.mark.parametrize("ring", all_rings(), ids=lambda r: r.name)
