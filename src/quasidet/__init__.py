@@ -20,15 +20,13 @@ from .formula import (
     parse,
     qdet_formula,
 )
-from .identity import EquivalenceConfig, IdentityVerdict, equivalent
 from .qdet import qdet, qdet_expansion, matrix_inverse, hadamard_inverse
-from .harness import RunConfig, run_suite
+from .harness import IdentityVerdict, RunConfig, equivalent, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "EquivalenceConfig",
     "IdentityVerdict",
     "MatrixRing",
     "NcMatrix",

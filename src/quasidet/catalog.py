@@ -1795,48 +1795,15 @@ def check_ribbon_basis(ctx: CheckContext):
     ctx.compare(
         "independence-rank", Fraction(rank), Fraction(2 ** (m - 1)), Rationals()
     )
-    # every elementary monomial solves exactly against the ribbon family
+    # every elementary monomial solves exactly against the ribbon family:
+    # it lies in their row span iff appending it leaves the rank unchanged
     for J in comps:
         target = []
         for ys in points:
             value = sf.lambda_word_value(ring, ys, J)
             for row in ring.flatten(value):
                 target.extend(row)
-        coeffs = _solve_exact(vectors, target)
-        ctx.require(f"expressible-{J}", coeffs is not None)
-
-
-def _solve_exact(vectors, target):
-    """Solve sum c_i vectors[i] = target over the rationals, or None."""
-    cols = len(vectors)
-    rows = len(target)
-    aug = [[Fraction(vectors[c][r]) for c in range(cols)] + [Fraction(target[r])] for r in range(rows)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(rows):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, rows):
-        if aug[r][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        solution[c] = aug[r][cols]
-    return solution
+        ctx.require(f"expressible-{J}", rational_rank(vectors + [target]) == rank)
 
 
 _register(

@@ -30,10 +30,10 @@ from .harness import (
     identity_lines,
     load_report,
     replay_from_report,
+    ring_for_dimension,
     run_suite,
     write_report,
 )
-from .identity import ring_for_dimension
 from .matrix import matrix_from_expressions
 from .qdet import qdet
 from .rings import DomainError, format_fraction
@@ -82,7 +82,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_replay(args) -> int:
     report = load_report(args.report)
-    result = replay_from_report(report, args.id, args.index)
+    result = replay_from_report(report, args.id)
     print(json.dumps(result, indent=1, sort_keys=True))
     return 0 if result["reproduced"] else 1
 
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a stored counterexample")
     p.add_argument("--report", required=True)
     p.add_argument("--id", required=True)
-    p.add_argument("--index", type=int, default=0)
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("qdet", help="quasideterminant of a matrix file")

@@ -1,5 +1,7 @@
 """Randomized verification driver: runs the identity catalog under a
-fully seeded configuration and emits a machine-readable report.
+fully seeded configuration and emits a machine-readable report.  The
+same driver decides formula equivalence (``equivalent``) by running a
+descriptor built from the two formulas.
 
 Verdict semantics per identity: ``verified`` when every sampled cell
 evaluated successfully with no mismatch; ``counterexample`` on the first
@@ -20,23 +22,47 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .catalog import CATALOG, CheckContext, IdentityDescriptor, MismatchFound, get_identity
-from .identity import (
-    COUNTEREXAMPLE,
-    DOMAIN_EXHAUSTED,
-    NO_CELLS,
-    VERIFIED,
-    IdentityVerdict,
-    ring_for_dimension,
-)
-from .rings import DomainError
+from .formula import RatFormula, evaluate, free_vars
+from .rings import DomainError, Rationals, ScalarRing, SquareMatrices
 from .sampling import Draw, ReplayDraw, substream
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0xC0FFEE
+
+VERIFIED = "verified"
+COUNTEREXAMPLE = "counterexample"
+DOMAIN_EXHAUSTED = "domain_exhausted"
+# the cell filters of a run left the identity nothing to sample
+NO_CELLS = "no_cells"
+
+
+def ring_for_dimension(d: int) -> ScalarRing:
+    """Evaluation ring for dimension d: rationals at 1, matrices above."""
+    return Rationals() if d == 1 else SquareMatrices(d)
+
+
+@dataclass
+class IdentityVerdict:
+    status: str
+    attempted: int = 0
+    succeeded: int = 0
+    seed: int = 0
+    counterexample: Optional[dict] = None
+    cells: list = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {
+            "status": self.status,
+            "attempted": self.attempted,
+            "succeeded": self.succeeded,
+            "seed": self.seed,
+            "counterexample": self.counterexample,
+            "cells": self.cells,
+        }
 
 
 @dataclass
@@ -147,6 +173,32 @@ def run_identity(
     return verdict
 
 
+def formula_identity(f: RatFormula, g: RatFormula) -> IdentityDescriptor:
+    """Descriptor for f ~ g: both formulas evaluated exactly at one shared
+    random assignment per sample, over Q, M2(Q) and M3(Q)."""
+    names = sorted(free_vars(f) | free_vars(g))
+
+    def check(ctx: CheckContext):
+        ring = ctx.ring
+        sigma = ctx.draw.assignment(names, ring)
+        ctx.compare("formulas-agree", evaluate(f, sigma, ring), evaluate(g, sigma, ring))
+
+    return IdentityDescriptor(
+        ident="FORMULA-EQUIVALENCE",
+        module="formula",
+        statement="two rational formulas agree at every sampled point",
+        cells=((0, 1), (0, 2), (0, 3)),
+        check=check,
+    )
+
+
+def equivalent(
+    f: RatFormula, g: RatFormula, config: Optional[RunConfig] = None
+) -> IdentityVerdict:
+    """Decide f ~ g by sampling; exact comparison, no tolerances."""
+    return run_identity(formula_identity(f, g), config or RunConfig())
+
+
 def run_suite(config: Optional[RunConfig] = None) -> dict:
     """Execute the selected identities and assemble the report."""
     config = config or RunConfig()
@@ -214,13 +266,18 @@ def load_report(path: str) -> dict:
         return json.load(handle)
 
 
-def replay_counterexample(counterexample: dict) -> dict:
+def replay_counterexample(
+    counterexample: dict, desc: Optional[IdentityDescriptor] = None
+) -> dict:
     """Re-run a stored counterexample from its draw log.
 
-    Returns {"reproduced": bool, "label", "lhs", "rhs"}; reproduced is
-    true when the same comparison fails with bit-identical sides.
+    ``desc`` defaults to the catalog entry named by the counterexample;
+    pass it for a descriptor outside the catalog, such as one built by
+    ``formula_identity``.  Returns {"reproduced": bool, "label", "lhs",
+    "rhs"}; reproduced is true when the same comparison fails with
+    bit-identical sides.
     """
-    desc = get_identity(counterexample["identity"])
+    desc = desc or get_identity(counterexample["identity"])
     draw = ReplayDraw(counterexample["draws"])
     ctx = CheckContext(
         draw=draw,
@@ -249,15 +306,11 @@ def replay_counterexample(counterexample: dict) -> dict:
     return {"reproduced": False, "label": "no-mismatch-on-replay", "lhs": None, "rhs": None}
 
 
-def replay_from_report(report: dict, ident: str, index: int = 0) -> dict:
-    matches = [
-        e
-        for e in report["identities"]
-        if e["id"] == ident and e.get("counterexample")
-    ]
-    if not matches or index >= len(matches):
-        raise KeyError(f"no stored counterexample for {ident!r} at index {index}")
-    return replay_counterexample(matches[index]["counterexample"])
+def replay_from_report(report: dict, ident: str) -> dict:
+    for entry in report["identities"]:
+        if entry["id"] == ident and entry.get("counterexample"):
+            return replay_counterexample(entry["counterexample"])
+    raise KeyError(f"no stored counterexample for {ident!r}")
 
 
 def identity_lines() -> list[str]:

@@ -96,10 +96,6 @@ class NcMatrix:
             col_labels,
         )
 
-    @classmethod
-    def from_rows(cls, ring, rows, row_labels=None, col_labels=None):
-        return cls(ring, rows, row_labels, col_labels)
-
     # -- submatrices ---------------------------------------------------------
 
     def delete_row_col(self, p, q) -> "NcMatrix":
@@ -314,21 +310,11 @@ class NcMatrix:
 
     def _inverse_flat(self) -> "NcMatrix":
         ring = self.ring
-        k = ring.flat_dim
         n = self.n_rows
         inv = invert_rational(flatten_matrix(self))
         if inv is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                block = [
-                    [inv[i * k + r][j * k + c] for c in range(k)] for r in range(k)
-                ]
-                row.append(ring.unflatten(block))
-            rows.append(row)
-        return NcMatrix(ring, rows, self.col_labels, self.row_labels)
+        return unflatten_matrix(ring, inv, n, n, self.col_labels, self.row_labels)
 
     def _inverse_series(self) -> "NcMatrix":
         ring: TruncatedSeriesRing = self.ring  # type: ignore[assignment]
@@ -586,31 +572,7 @@ class MatrixRing(ScalarRing):
         return {"kind": "matrix-ring", "base": self.base.spec(), "n": self.n}
 
     def flatten(self, a: NcMatrix):
-        k = self.base.flat_dim
-        if k is None:
-            raise TypeError("base ring has no rational embedding")
-        n = self.n
-        big = [[Fraction(0)] * (n * k) for _ in range(n * k)]
-        for i in range(n):
-            for j in range(n):
-                block = self.base.flatten(a.entries[i][j])
-                for r in range(k):
-                    for c in range(k):
-                        big[i * k + r][j * k + c] = block[r][c]
-        return big
+        return flatten_matrix(a)
 
     def unflatten(self, rows):
-        k = self.base.flat_dim
-        n = self.n
-        return NcMatrix(
-            self.base,
-            [
-                [
-                    self.base.unflatten(
-                        [[rows[i * k + r][j * k + c] for c in range(k)] for r in range(k)]
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        return unflatten_matrix(self.base, rows, self.n, self.n)

@@ -64,17 +64,6 @@ def sample_invertible_scalar(ring, rng, profile=None, attempts: int = 50):
     raise DomainError(f"could not sample an invertible scalar in {ring.name}")
 
 
-def sample_invertible_matrix(ring, n, rng, profile=None, attempts: int = 50):
-    for _ in range(attempts):
-        mat = sample_matrix(ring, n, n, rng, profile)
-        try:
-            mat.inverse()
-        except DomainError:
-            continue
-        return mat
-    raise DomainError(f"could not sample an invertible {n}x{n} matrix over {ring.name}")
-
-
 class Draw:
     """Live randomness source that logs every drawn value."""
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,28 @@ def test_verify_with_report_and_replay(tmp_path, capsys):
     assert code == 0
     replay_out = json.loads(capsys.readouterr().out)
     assert replay_out["reproduced"]
+
+
+def test_replay_in_a_separate_process(tmp_path, capsys):
+    report_path = str(tmp_path / "out.json")
+    code = main(
+        ["verify", "--only", "FALSE-COMMUTE", "--samples", "3", "--report", report_path]
+    )
+    assert code == 0
+    capsys.readouterr()
+    # a fresh interpreter shares no objects or caches with this one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasidet.cli", "replay"]
+        + ["--report", report_path, "--id", "FALSE-COMMUTE"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"reproduced": true' in proc.stdout
 
 
 def test_verify_filters_dims(capsys):

@@ -23,13 +23,15 @@ from quasidet.formula import (
     var,
 )
 from quasidet.formula import _postorder
-from quasidet.identity import (
+from quasidet.harness import (
     COUNTEREXAMPLE,
     DOMAIN_EXHAUSTED,
+    NO_CELLS,
     VERIFIED,
-    EquivalenceConfig,
+    RunConfig,
     equivalent,
-    replay_equivalence,
+    formula_identity,
+    replay_counterexample,
 )
 from quasidet.rings import DomainError, Rationals, SquareMatrices
 
@@ -178,29 +180,40 @@ class TestEquivalence:
         v = equivalent(
             parse("x * inv(x)"),
             parse("1"),
-            EquivalenceConfig(dims=(1, 2), samples=5, seed=3),
+            RunConfig(dims=[1, 2], samples=5, seed=3),
         )
         assert v.status == VERIFIED
+        assert [c["d"] for c in v.cells] == [1, 2]
+        assert all(c["succeeded"] == 5 for c in v.cells)
 
     def test_commutator_counterexample_at_dim_two(self):
-        v = equivalent(
-            parse("x * y"),
-            parse("y * x"),
-            EquivalenceConfig(dims=(2,), samples=20, seed=3),
-        )
+        f, g = parse("x * y"), parse("y * x")
+        v = equivalent(f, g, RunConfig(dims=[2], samples=20, seed=3))
         assert v.status == COUNTEREXAMPLE
-        assert v.counterexample["d"] == 2
-        replayed = replay_equivalence(parse("x * y"), parse("y * x"), v.counterexample)
-        assert replayed["lhs"] == v.counterexample["lhs"]
-        assert replayed["rhs"] == v.counterexample["rhs"]
+        cx = v.counterexample
+        assert cx["d"] == 2
+        assert [rec["t"] for rec in cx["draws"]] == ["assignment"]
+        replayed = replay_counterexample(cx, formula_identity(f, g))
+        assert replayed["reproduced"] is True
+        assert replayed["lhs"] == cx["lhs"]
+        assert replayed["rhs"] == cx["rhs"]
 
     def test_commutative_dimension_cannot_distinguish(self):
         v = equivalent(
             parse("x * y"),
             parse("y * x"),
-            EquivalenceConfig(dims=(1,), samples=20, seed=3),
+            RunConfig(dims=[1], samples=20, seed=3),
         )
         assert v.status == VERIFIED
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError):
+            equivalent(parse("x * y"), parse("y * x"), RunConfig(samples=0))
+
+    def test_dims_filter_without_cells_is_not_verified(self):
+        v = equivalent(parse("x * y"), parse("y * x"), RunConfig(dims=[7]))
+        assert v.status == NO_CELLS
+        assert v.attempted == 0
 
     def test_brute_force_small_entries_find_noncommuting_pair(self):
         # exhaustive oracle behind the counterexample above: some pair of
@@ -223,12 +236,17 @@ class TestEquivalence:
         v = equivalent(
             inv(var("x") - var("x")),
             parse("1"),
-            EquivalenceConfig(dims=(1,), samples=2, resample_limit=5, seed=3),
+            RunConfig(dims=[1, 2], samples=2, resample_limit=5, seed=3),
         )
         assert v.status == DOMAIN_EXHAUSTED
+        # an exhausted cell does not stop the cells after it
+        assert [(c["d"], c["status"]) for c in v.cells] == [
+            (1, DOMAIN_EXHAUSTED),
+            (2, DOMAIN_EXHAUSTED),
+        ]
 
     def test_same_seed_same_verdict(self):
-        cfg = EquivalenceConfig(dims=(1, 2), samples=6, seed=99)
+        cfg = RunConfig(dims=[1, 2], samples=6, seed=99)
         a = equivalent(parse("x + y"), parse("y + x"), cfg)
         b = equivalent(parse("x + y"), parse("y + x"), cfg)
         assert a.to_json() == b.to_json()

@@ -18,7 +18,7 @@ from quasidet.pluecker import (
 )
 from quasidet.qdet import qdet
 from quasidet.rings import DomainError, Rationals
-from quasidet.sampling import sample_invertible_matrix, sample_matrix
+from quasidet.sampling import Draw, sample_matrix
 
 
 def classical_minor(A, cols):
@@ -161,7 +161,7 @@ class TestNormalForm:
         hits = 0
         while hits < 3:
             A = sample_matrix(M2, 2, 4, rng)
-            g = sample_invertible_matrix(M2, 2, rng)
+            g = Draw(rng).invertible_matrix(M2, 2)
             try:
                 C1, _ = normal_form(A)
                 C2, _ = normal_form(g * A)
