@@ -37,7 +37,7 @@ from .harness import (
 from .matrix import matrix_from_expressions
 from .qdet import qdet
 from .rings import DomainError, format_fraction
-from .sampling import substream
+from .sampling import Draw, substream
 
 
 def _load_matrix(path: str):
@@ -118,10 +118,10 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_symm(args) -> int:
     ring = ring_for_dimension(args.d)
-    rng = substream(args.seed, "cli-symm", args.n, args.d)
+    draw = Draw(substream(args.seed, "cli-symm", args.n, args.d))
     for _ in range(200):
-        xs = [ring.random_element(rng) for _ in range(args.n)]
-        z = ring.random_element(rng)
+        xs = [draw.scalar(ring) for _ in range(args.n)]
+        z = draw.scalar(ring)
         if sf.is_independent(ring, xs) and sf.is_independent(ring, list(xs) + [z]):
             break
     else:
@@ -163,9 +163,9 @@ def _cmd_symm(args) -> int:
 
 def _cmd_contfrac(args) -> int:
     ring = ring_for_dimension(args.d)
-    rng = substream(args.seed, "cli-contfrac", args.n, args.d)
+    draw = Draw(substream(args.seed, "cli-contfrac", args.n, args.d))
     for _ in range(200):
-        A = cf.random_almost_triangular(ring, args.n, rng)
+        A = cf.draw_almost_triangular(draw, ring, args.n)
         try:
             P, Q = cf.convergents_explicit(A)
             corner = qdet(A, 1, 1)

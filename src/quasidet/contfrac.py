@@ -19,6 +19,7 @@ from .rings import (
     DomainError,
     QRat,
     QRationalFunctions,
+    Rationals,
     ScalarRing,
     SquareMatrices,
     TruncatedSeriesRing,
@@ -49,24 +50,18 @@ def almost_triangular(ring: ScalarRing, upper: dict, n: int, subdiag=None) -> Nc
     return NcMatrix(ring, rows, range(1, n + 1), range(1, n + 1))
 
 
-def random_almost_triangular(ring, n, rng, profile=None, general_subdiag=False):
-    upper = {
-        (i, j): ring.random_element(rng, profile)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-    }
+def draw_almost_triangular(draw, ring: ScalarRing, n: int, general_subdiag=False) -> NcMatrix:
+    """Random almost-triangular matrix drawn through ``draw``: the upper
+    entries row by row, then (with ``general_subdiag``) one invertible
+    subdiagonal entry per row in place of the normal-form -1."""
+    upper = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            upper[(i, j)] = draw.scalar(ring)
     subdiag = None
     if general_subdiag:
-        from .sampling import sample_invertible_scalar
-
-        subdiag = {
-            i: sample_invertible_scalar(ring, rng, profile) for i in range(1, n)
-        }
+        subdiag = {i: draw.invertible_scalar(ring) for i in range(1, n)}
     return almost_triangular(ring, upper, n, subdiag)
-
-
-def cf_qdet(A: NcMatrix):
-    return qdet(A, 1, 1)
 
 
 def cf_nested(A: NcMatrix):
@@ -180,24 +175,20 @@ def jacobi_convergents(ring: ScalarRing, diag: Sequence):
 # nilpotent upper-triangular realization of the commutator condition
 
 
-def heisenberg_diagonal(rng, profile=None, unipotent: bool = True) -> "object":
+def heisenberg_diagonal(draw) -> "object":
     """One diagonal entry: identity plus a combination of the three
     strict-upper 3x3 matrix units.  Commutators of two such entries are
     central, multiply to zero, and absorb unipotent diagonal factors;
-    all three properties are needed for the descending-product identity.
-    ``unipotent=False`` replaces the identity coefficient by a random
-    rational (only the commutator conditions survive then)."""
-    from .rings import DEFAULT_PROFILE
-
-    profile = profile or DEFAULT_PROFILE
+    all three properties are needed for the descending-product identity."""
     M3 = SquareMatrices(3)
-    alpha, beta, gamma = (profile.draw_fraction(rng) for _ in range(3))
-    delta = Fraction(1) if unipotent else profile.draw_fraction(rng)
+    alpha = draw.scalar(Rationals())
+    beta = draw.scalar(Rationals())
+    gamma = draw.scalar(Rationals())
     return (
         M3.unit(1, 2) * M3.scalar_matrix(alpha)
         + M3.unit(2, 3) * M3.scalar_matrix(beta)
         + M3.unit(1, 3) * M3.scalar_matrix(gamma)
-        + M3.scalar_matrix(delta)
+        + M3.one
     )
 
 
@@ -228,7 +219,7 @@ def descending_diagonal_product(diag: Sequence):
 # formal-series ratio over the t-graded instantiation
 
 
-def graded_series_matrix(d: int, order: int, size: int, rng, profile=None):
+def graded_series_matrix(draw, d: int, order: int, size: int):
     """Size x size almost-triangular matrix over order-truncated series
     whose diagonal entries are 1 + t M and strict upper entries t M."""
     base = SquareMatrices(d)
@@ -236,7 +227,7 @@ def graded_series_matrix(d: int, order: int, size: int, rng, profile=None):
     upper = {}
     for i in range(1, size + 1):
         for j in range(i, size + 1):
-            m = base.random_element(rng, profile)
+            m = draw.scalar(base)
             lead = base.one if i == j else base.zero
             upper[(i, j)] = T.element([lead, m][: order + 1])
     return almost_triangular(T, upper, size)

@@ -124,18 +124,11 @@ def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def matrix_inverse(A: NcMatrix, method: str = "direct") -> NcMatrix:
-    """Inverse of A.
-
-    method "direct" uses the ring-appropriate elimination; method "qdet"
-    builds entry (i, j) as the inverse of the (j, i) quasideterminant,
-    the Hadamard-inverse-of-quasideterminants route.  Both satisfy
-    A B = B A = identity exactly.
-    """
-    if method == "direct":
-        return A.inverse()
-    if method != "qdet":
-        raise ValueError(f"unknown method {method!r}")
+def matrix_inverse(A: NcMatrix) -> NcMatrix:
+    """Inverse of A by quasideterminants: entry (i, j) is the inverse of
+    the (j, i) quasideterminant, the Hadamard-inverse-of-quasideterminants
+    route.  It agrees with ``A.inverse()`` wherever every quasideterminant
+    is defined and invertible."""
     if not A.is_square():
         raise ValueError("square matrix required")
     ring = A.ring
@@ -272,13 +265,6 @@ def sylvester_matrix(A: NcMatrix, pivot_set: Iterable) -> NcMatrix:
             row.append(qdet(bordered, p, q))
         entries.append(row)
     return NcMatrix(A.ring, entries, rows_out, cols_out)
-
-
-def sylvester_qdet(A: NcMatrix, pivot_set: Iterable, i, j):
-    K = list(pivot_set)
-    if not K:
-        return qdet(A, i, j)
-    return qdet(sylvester_matrix(A, K), i, j)
 
 
 def jacobi_factors(A: NcMatrix, P: Sequence, Q: Sequence, k, l):

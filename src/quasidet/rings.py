@@ -71,18 +71,6 @@ class ScalarRing:
     def one(self):
         raise NotImplementedError
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def equals(self, a, b) -> bool:
         return a == b
 
@@ -715,13 +703,12 @@ class QRat:
     integer content and a positive leading coefficient of ``_d``.  Each
     rational function has exactly one such form, so ``==`` and ``hash``
     compare tuples.  ``num`` and ``den`` give the value as Fraction tuples
-    over a monic denominator.  Every QRat is stored reduced; ``normalize``
-    is accepted for callers of the earlier signature and changes nothing.
+    over a monic denominator.  Every QRat is stored reduced.
     """
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=(1,), normalize=True):
+    def __init__(self, num, den=(1,)):
         num, den = poly_trim(num), poly_trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")

@@ -56,14 +56,6 @@ def sample_matrix(
     )
 
 
-def sample_invertible_scalar(ring, rng, profile=None, attempts: int = 50):
-    for _ in range(attempts):
-        x = ring.random_element(rng, profile)
-        if ring.try_invert(x) is not None:
-            return x
-    raise DomainError(f"could not sample an invertible scalar in {ring.name}")
-
-
 class Draw:
     """Live randomness source that logs every drawn value."""
 
@@ -80,9 +72,14 @@ class Draw:
         return x
 
     def invertible_scalar(self, ring: ScalarRing):
-        x = sample_invertible_scalar(ring, self.rng, self.profile)
-        self.log.append({"t": "scalar", "ring": ring.spec(), "v": ring.serialize(x)})
-        return x
+        for _ in range(50):
+            x = ring.random_element(self.rng, self.profile)
+            if ring.try_invert(x) is not None:
+                self.log.append(
+                    {"t": "scalar", "ring": ring.spec(), "v": ring.serialize(x)}
+                )
+                return x
+        raise DomainError(f"could not sample an invertible scalar in {ring.name}")
 
     def matrix(self, ring, n_rows, n_cols, row_labels=None, col_labels=None):
         mat = sample_matrix(

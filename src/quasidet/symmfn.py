@@ -10,7 +10,7 @@ structure.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Sequence
 
 from .matrix import NcMatrix
@@ -139,7 +139,7 @@ def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
     coeffs = []
     for k in range(1, n + 1):
         acc = ring.zero
-        for combo in _combinations(range(n), k):
+        for combo in combinations(range(n), k):
             word = ring.one
             for idx in reversed(combo):
                 word = word * ys[idx]
@@ -148,12 +148,6 @@ def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
             acc = -acc
         coeffs.append(acc)
     return coeffs
-
-
-def _combinations(pool, k):
-    from itertools import combinations
-
-    return combinations(pool, k)
 
 
 def vieta_via_qdet(ring: ScalarRing, xs: Sequence) -> list:
@@ -296,7 +290,7 @@ def lambda_word_value(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
     acc = ring.one
     for part in J:
         lam = ring.zero
-        for combo in _combinations(range(n), part):
+        for combo in combinations(range(n), part):
             word = ring.one
             for idx in reversed(combo):
                 word = word * ys[idx]

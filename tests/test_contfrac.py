@@ -7,7 +7,6 @@ from oracles import continued_fraction_tower, det_leibniz
 from quasidet.contfrac import (
     almost_triangular,
     cf_nested,
-    cf_qdet,
     chain_sum,
     commutator_matrix,
     convergents_explicit,
@@ -15,13 +14,13 @@ from quasidet.contfrac import (
     corner_alternating_sum,
     d_product,
     descending_diagonal_product,
+    draw_almost_triangular,
     general_corner_product,
     graded_series_matrix,
     heisenberg_diagonal,
     jacobi_convergents,
     jacobi_matrix,
     qz_series_ring,
-    random_almost_triangular,
     rr_continued_fraction,
     rr_ratio_sides,
     rr_sides,
@@ -34,19 +33,20 @@ from quasidet.rings import (
     QRationalFunctions,
     SquareMatrices,
 )
+from quasidet.sampling import Draw, ReplayDraw
 
 
 class TestCornerFraction:
     def test_size_one(self, rng, M2):
-        A = random_almost_triangular(M2, 1, rng)
-        assert cf_qdet(A) == A.entry(1, 1) == cf_nested(A)
+        A = draw_almost_triangular(Draw(rng), M2, 1)
+        assert qdet(A, 1, 1) == A.entry(1, 1) == cf_nested(A)
 
     def test_size_two_display(self, rng, M2):
         hits = 0
         while hits < 5:
-            A = random_almost_triangular(M2, 2, rng)
+            A = draw_almost_triangular(Draw(rng), M2, 2)
             try:
-                v = cf_qdet(A)
+                v = qdet(A, 1, 1)
             except DomainError:
                 continue
             want = A.entry(1, 1) + A.entry(1, 2) * M2.invert(A.entry(2, 2))
@@ -56,9 +56,9 @@ class TestCornerFraction:
     def test_commutative_det_ratio(self, rng, Q):
         hits = 0
         while hits < 5:
-            A = random_almost_triangular(Q, 3, rng)
+            A = draw_almost_triangular(Draw(rng), Q, 3)
             try:
-                v = cf_qdet(A)
+                v = qdet(A, 1, 1)
             except DomainError:
                 continue
             full = det_leibniz([list(r) for r in A.entries])
@@ -70,24 +70,47 @@ class TestCornerFraction:
         for n in (2, 3, 4):
             hits = 0
             while hits < 3:
-                A = random_almost_triangular(M2, n, rng)
+                A = draw_almost_triangular(Draw(rng), M2, n)
                 try:
-                    assert cf_nested(A) == cf_qdet(A)
+                    assert cf_nested(A) == qdet(A, 1, 1)
                 except DomainError:
                     continue
                 hits += 1
 
 
+class TestGeneratorReplay:
+    # every generator draws through a Draw, so its log rebuilds the input
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda draw: draw_almost_triangular(draw, SquareMatrices(2), 4),
+            lambda draw: draw_almost_triangular(
+                draw, SquareMatrices(2), 4, general_subdiag=True
+            ),
+            heisenberg_diagonal,
+            lambda draw: graded_series_matrix(draw, 2, 2, 4),
+        ],
+        ids=["almost-triangular", "general-subdiag", "heisenberg", "graded-series"],
+    )
+    def test_replay_rebuilds_the_input(self, build, rng):
+        draw = Draw(rng)
+        first = build(draw)
+        assert draw.log
+        replay = ReplayDraw(draw.log)
+        assert build(replay) == first
+        assert replay.pos == len(draw.log)
+
+
 class TestConvergents:
     def test_boundary_values(self, rng, M2):
-        A1 = random_almost_triangular(M2, 1, rng)
+        A1 = draw_almost_triangular(Draw(rng), M2, 1)
         P, Q1 = convergents_explicit(A1)
         assert P == A1.entry(1, 1) and Q1 == M2.one
         Ps, Qs = convergents_recurrence(A1)
         assert Ps[0] == M2.one and Qs[1] == M2.one
 
     def test_recurrence_pattern_small(self, rng, M2):
-        A = random_almost_triangular(M2, 2, rng)
+        A = draw_almost_triangular(Draw(rng), M2, 2)
         Ps, Qs = convergents_recurrence(A)
         a = A.entry
         assert Ps[2] == a(1, 2) + a(1, 1) * a(2, 2)
@@ -95,7 +118,7 @@ class TestConvergents:
 
     def test_explicit_equals_recurrence(self, rng, M2):
         for n in (2, 3, 4, 5):
-            A = random_almost_triangular(M2, n, rng)
+            A = draw_almost_triangular(Draw(rng), M2, n)
             P, Qn = convergents_explicit(A)
             Ps, Qs = convergents_recurrence(A)
             assert P == Ps[n] and Qn == Qs[n]
@@ -104,7 +127,7 @@ class TestConvergents:
         for n in (2, 3, 4):
             hits = 0
             while hits < 3:
-                A = random_almost_triangular(M2, n, rng)
+                A = draw_almost_triangular(Draw(rng), M2, n)
                 P, Qn = convergents_explicit(A)
                 assert P == qdet(A, 1, n)
                 assert Qn == qdet(A.delete_row_col(1, 1), 2, n)
@@ -173,14 +196,14 @@ class TestCommutatorCollapse:
         # a_12 is exactly their commutator
         M3 = SquareMatrices(3)
         for _ in range(5):
-            a11 = heisenberg_diagonal(rng)
-            a22 = heisenberg_diagonal(rng)
+            a11 = heisenberg_diagonal(Draw(rng))
+            a22 = heisenberg_diagonal(Draw(rng))
             a12 = a22 * a11 - a11 * a22
             assert a12 + a11 * a22 == a22 * a11
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_descending_product(self, n, rng):
-        diag = [heisenberg_diagonal(rng) for _ in range(n)]
+        diag = [heisenberg_diagonal(Draw(rng)) for _ in range(n)]
         A = commutator_matrix(diag)
         P, _ = convergents_recurrence(A)
         want = descending_diagonal_product(diag)
@@ -200,7 +223,7 @@ class TestCommutatorCollapse:
 
 class TestSeriesRatio:
     def test_order_zero_everything_is_one(self, rng):
-        A = graded_series_matrix(1, 0, 3, rng)
+        A = graded_series_matrix(Draw(rng), 1, 0, 3)
         T = A.ring
         assert qdet(A, 1, 1) == T.one
         assert series_numerator(A) == T.one
@@ -208,7 +231,7 @@ class TestSeriesRatio:
 
     def test_first_order_coefficient_by_hand(self, rng):
         # to first order the corner value is 1 + t(M_11 + sum_j M_1j)
-        A = graded_series_matrix(1, 2, 4, rng)
+        A = graded_series_matrix(Draw(rng), 1, 2, 4)
         T = A.ring
         v = qdet(A, 1, 1)
         want1 = A.entry(1, 1).coeffs[1]
@@ -219,24 +242,24 @@ class TestSeriesRatio:
 
     def test_ratio_identity_small(self, rng):
         for (d, L, N) in ((1, 3, 5), (2, 2, 4)):
-            A = graded_series_matrix(d, L, N, rng)
+            A = graded_series_matrix(Draw(rng), d, L, N)
             T = A.ring
             lhs = qdet(A, 1, 1)
             assert series_numerator(A) * T.invert(series_denominator(A)) == lhs
 
     def test_chain_sum_empty_pool(self, rng, M2):
-        A = random_almost_triangular(M2, 3, rng)
+        A = draw_almost_triangular(Draw(rng), M2, 3)
         assert chain_sum(A, 1, [], 3) == A.entry(1, 3)
 
 
 class TestCornerProducts:
     def test_single_entry(self, rng, M2):
-        B = random_almost_triangular(M2, 1, rng, general_subdiag=True)
+        B = draw_almost_triangular(Draw(rng), M2, 1, general_subdiag=True)
         assert d_product(B, 1, 1) == B.entry(1, 1)
         assert corner_alternating_sum(B) == B.entry(1, 1)
 
     def test_empty_range_is_one(self, rng, M2):
-        B = random_almost_triangular(M2, 2, rng, general_subdiag=True)
+        B = draw_almost_triangular(Draw(rng), M2, 2, general_subdiag=True)
         assert d_product(B, 3, 2) == M2.one
 
     def test_unit_subdiagonal_commutative_is_determinant(self, rng, Q):
@@ -259,7 +282,7 @@ class TestCornerProducts:
     def test_signed_product_and_sum(self, n, rng, M2):
         hits = 0
         while hits < 3:
-            B = random_almost_triangular(M2, n, rng, general_subdiag=True)
+            B = draw_almost_triangular(Draw(rng), M2, n, general_subdiag=True)
             try:
                 D = d_product(B, 1, n)
                 corner = qdet(B, 1, n)
@@ -275,7 +298,7 @@ class TestCornerProducts:
     def test_general_pivots(self, n, rng, M2):
         hits = 0
         while hits < 2:
-            B = random_almost_triangular(M2, n, rng, general_subdiag=True)
+            B = draw_almost_triangular(Draw(rng), M2, n, general_subdiag=True)
             try:
                 for i in range(1, n + 1):
                     for j in range(i, n + 1):

@@ -172,7 +172,7 @@ def test_series_truncates_products():
 def test_qrat_equality_by_cross_multiplication():
     one = Fraction(1)
     # (q^2 - 1)/(q - 1) == q + 1
-    lhs = QRat((-one, Fraction(0), one), (-one, one), normalize=False)
+    lhs = QRat((-one, Fraction(0), one), (-one, one))
     rhs = QRat((one, one))
     assert lhs == rhs
 
@@ -245,7 +245,7 @@ def test_qrat_matches_fraction_oracle(operands, factor):
         assert F.deserialize(F.serialize(got)) == got
     assert (x == y) == (ox == oy)
     # the same value written over another common factor
-    z = QRat(oracles.poly_mul(xn, factor), oracles.poly_mul(xd, factor), normalize=False)
+    z = QRat(oracles.poly_mul(xn, factor), oracles.poly_mul(xd, factor))
     assert x == z and hash(x) == hash(z)
     assert poly_gcd(xn, xd) == oracles.poly_gcd(xn, xd)
 
