@@ -1775,9 +1775,8 @@ def check_ribbon_basis(ctx: CheckContext):
     for J in comps:
         vec = []
         for ys in points:
-            value = sf.ribbon_from_ys(ring, ys, J)
-            for row in ring.flatten(value):
-                vec.extend(row)
+            num, den = ring.flatten(sf.ribbon_from_ys(ring, ys, J))
+            vec.extend(Fraction(x, den) for row in num for x in row)
         vectors.append(vec)
     rank = rational_rank(vectors)
     ctx.compare(
@@ -1788,9 +1787,8 @@ def check_ribbon_basis(ctx: CheckContext):
     for J in comps:
         target = []
         for ys in points:
-            value = sf.lambda_word_value(ring, ys, J)
-            for row in ring.flatten(value):
-                target.extend(row)
+            num, den = ring.flatten(sf.lambda_word_value(ring, ys, J))
+            target.extend(Fraction(x, den) for row in num for x in row)
         ctx.require(f"expressible-{J}", rational_rank(vectors + [target]) == rank)
 
 

@@ -1,11 +1,17 @@
 """Exact linear algebra over plain rational matrices (ints or Fractions).
 
 These routines back the flattened inversion of matrices over rational
-and matrix-scalar rings, the commutative determinant checks and the
-kernel construction used by the duality identity.  Everything is exact.
-The inverse, the rank and the right kernel share one fraction-free
-Gauss-Jordan core on Python ints; the determinant runs its own Bareiss
-elimination so it stays an independent route from that core.
+and matrix-scalar rings, the Schur-complement route to their
+quasideterminants, the commutative determinant checks and the kernel
+construction used by the duality identity.  Everything is exact.  The
+inverse, the Schur complement, the rank and the right kernel share one
+fraction-free Gauss-Jordan core on Python ints; the determinant runs its
+own Bareiss elimination so it stays an independent route from that core.
+
+The flattening of a matrix over a rational-embeddable ring reaches this
+module as an int matrix ``num`` with one positive scale per row: the
+rational matrix is ``diag(scales)^-1 num``.  Results come back as an int
+matrix over one nonzero denominator.
 """
 
 from __future__ import annotations
@@ -24,20 +30,24 @@ def _integer_rows(rows):
     return out, scales
 
 
-def _eliminate(m, n_cols):
+def _eliminate(m, n_cols, n_pivot_rows=None):
     """Fraction-free Gauss-Jordan elimination of the int matrix ``m``, in place.
 
     Pivots are sought in the first ``n_cols`` columns, at the first
-    nonzero entry on or below the current row.  Each step with pivot p
+    nonzero entry on or below the current row and above row
+    ``n_pivot_rows`` (default: every row).  Each step with pivot p
     replaces every other row by ``(p * row - f * pivot_row) // prev``,
     where f is the row's entry in the pivot column and prev the previous
     pivot.  By Sylvester's identity (Bareiss, Math. Comp. 22, 1968) every
     entry stays an integer minor of the input, so the division is exact.
     Returns the pivot columns and the last pivot p: every pivot row ends
     with p on its pivot, and row r divided by p is row r of the reduced
-    row echelon form.
+    row echelon form.  A row at or past ``n_pivot_rows`` ends as p times
+    itself minus its projection onto the pivot rows, so with the leading
+    square block nonsingular its trailing part is p times the Schur
+    complement of that block.
     """
-    n_rows = len(m)
+    n_rows = len(m) if n_pivot_rows is None else n_pivot_rows
     pivots = []
     prev = 1
     for col in range(n_cols):
@@ -65,20 +75,49 @@ def _eliminate(m, n_cols):
     return pivots, prev
 
 
-def invert_rational(rows):
-    """Inverse of a square rational matrix, or None when singular."""
-    num, scales = _integer_rows(rows)
+def invert_scaled(num, scales):
+    """Inverse of ``diag(scales)^-1 num`` for a square int matrix ``num``.
+
+    Returns ``(inv, den)`` with the inverse equal to ``inv / den``, or
+    None when singular.
+    """
     n = len(num)
-    # rows = diag(scales)^-1 num, so the inverse is num^-1 diag(scales):
     # elimination takes [num | diag(scales)] to [p I | p num^-1 diag(scales)]
     m = [
-        row + [scales[i] if j == i else 0 for j in range(n)]
+        [*row, *(scales[i] if j == i else 0 for j in range(n))]
         for i, row in enumerate(num)
     ]
     pivots, p = _eliminate(m, n)
     if len(pivots) < n:
         return None
-    return [[Fraction(x, p) for x in row[n:]] for row in m]
+    return [row[n:] for row in m], p
+
+
+def schur_complement(num, scales, k):
+    """Schur complement of the leading block of ``diag(scales)^-1 num``.
+
+    ``num`` is a square int matrix whose last ``k`` rows share one scale;
+    the leading block is everything but the last k rows and columns.
+    Returns ``(block, den)``, the k x k complement being ``block / den``,
+    or None when the leading block is singular.
+    """
+    lead = len(num) - k
+    m = [list(row) for row in num]
+    pivots, p = _eliminate(m, lead, lead)
+    if len(pivots) < lead:
+        return None
+    # the trailing block is now p * (N22 - N21 N11^-1 N12), and the
+    # complement is that bracket divided by the trailing rows' scale
+    return [row[lead:] for row in m[lead:]], p * scales[-1]
+
+
+def invert_rational(rows):
+    """Inverse of a square rational matrix, or None when singular."""
+    inv = invert_scaled(*_integer_rows(rows))
+    if inv is None:
+        return None
+    inv, p = inv
+    return [[Fraction(x, p) for x in row] for row in inv]
 
 
 def det_bareiss(rows) -> Fraction:

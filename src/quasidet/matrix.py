@@ -10,9 +10,12 @@ has rows J and columns I).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .exactlin import invert_rational
+# invert_rational stays importable from this module: bench/tracer.py
+# wraps it under this name
+from .exactlin import invert_rational, invert_scaled
 from .rings import DomainError, ScalarRing, TruncatedSeriesRing, SeriesElement
 
 
@@ -36,6 +39,18 @@ class NcMatrix:
         self.entries = entries
         self.row_labels = row_labels
         self.col_labels = col_labels
+
+    @classmethod
+    def _make(cls, ring, entries, row_labels, col_labels) -> "NcMatrix":
+        """Matrix from entries the ring produced: a nonempty tuple of
+        equal-length tuples of canonical elements, with label tuples of
+        matching, duplicate-free sizes.  Nothing is coerced or checked."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.entries = entries
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        return self
 
     # -- shape and access ---------------------------------------------------
 
@@ -120,11 +135,11 @@ class NcMatrix:
             raise KeyError("selection contains unknown labels")
         rpos = [self._row_pos(lab) for lab in rows]
         cpos = [self._col_pos(lab) for lab in cols]
-        return NcMatrix(
+        return NcMatrix._make(
             self.ring,
-            [[self.entries[r][c] for c in cpos] for r in rpos],
-            rows,
-            cols,
+            tuple(tuple(self.entries[r][c] for c in cpos) for r in rpos),
+            tuple(rows),
+            tuple(cols),
         )
 
     def reorder(self, row_order, col_order) -> "NcMatrix":
@@ -136,9 +151,9 @@ class NcMatrix:
             raise ValueError("reorder must permute the existing labels")
         rpos = [self._row_pos(lab) for lab in row_order]
         cpos = [self._col_pos(lab) for lab in col_order]
-        return NcMatrix(
+        return NcMatrix._make(
             self.ring,
-            [[self.entries[r][c] for c in cpos] for r in rpos],
+            tuple(tuple(self.entries[r][c] for c in cpos) for r in rpos),
             row_order,
             col_order,
         )
@@ -208,12 +223,12 @@ class NcMatrix:
     def __add__(self, other: "NcMatrix") -> "NcMatrix":
         if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
             raise ValueError("shape mismatch")
-        return NcMatrix(
+        return NcMatrix._make(
             self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ],
+            ),
             self.row_labels,
             self.col_labels,
         )
@@ -222,9 +237,9 @@ class NcMatrix:
         return self + (-other)
 
     def __neg__(self) -> "NcMatrix":
-        return NcMatrix(
+        return NcMatrix._make(
             self.ring,
-            [[-a for a in row] for row in self.entries],
+            tuple(tuple(-a for a in row) for row in self.entries),
             self.row_labels,
             self.col_labels,
         )
@@ -252,8 +267,8 @@ class NcMatrix:
                         term = a * b
                         acc = term if acc is None else acc + term
                 out.append(zero if acc is None else acc)
-            rows.append(out)
-        return NcMatrix(ring, rows, self.row_labels, other.col_labels)
+            rows.append(tuple(out))
+        return NcMatrix._make(ring, tuple(rows), self.row_labels, other.col_labels)
 
     def scale_left(self, lam) -> "NcMatrix":
         return NcMatrix(
@@ -311,10 +326,10 @@ class NcMatrix:
     def _inverse_flat(self) -> "NcMatrix":
         ring = self.ring
         n = self.n_rows
-        inv = invert_rational(flatten_matrix(self))
+        inv = invert_scaled(*flatten_matrix(self))
         if inv is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
-        return unflatten_matrix(ring, inv, n, n, self.col_labels, self.row_labels)
+        return unflatten_matrix(ring, *inv, n, n, self.col_labels, self.row_labels)
 
     def _inverse_series(self) -> "NcMatrix":
         ring: TruncatedSeriesRing = self.ring  # type: ignore[assignment]
@@ -339,14 +354,14 @@ class NcMatrix:
                 term = c * out[k - i]
                 acc = term if acc is None else acc + term
             out.append(NcMatrix.zero(base, n, n) if acc is None else -(b0 * acc))
-        rows = [
-            [
+        rows = tuple(
+            tuple(
                 SeriesElement(ring, [out[k].entries[i][j] for k in range(L + 1)])
                 for j in range(n)
-            ]
+            )
             for i in range(n)
-        ]
-        return NcMatrix(ring, rows, self.col_labels, self.row_labels)
+        )
+        return NcMatrix._make(ring, rows, self.col_labels, self.row_labels)
 
     def _inverse_elimination(self) -> "NcMatrix":
         ring = self.ring
@@ -379,7 +394,9 @@ class NcMatrix:
                     continue
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
                 x[r] = [v - factor * w for v, w in zip(x[r], x[col])]
-        return NcMatrix(ring, x, self.col_labels, self.row_labels)
+        return NcMatrix._make(
+            ring, tuple(map(tuple, x)), self.col_labels, self.row_labels
+        )
 
     # -- serialization ---------------------------------------------------------
 
@@ -406,36 +423,47 @@ class NcMatrix:
         )
 
 
-def flatten_matrix(A: NcMatrix) -> list:
-    """Expand a matrix over a rational-embeddable ring into one plain
-    Fraction matrix (block structure forgotten)."""
-    k = A.ring.flat_dim
-    if k is None:
-        raise TypeError(f"{A.ring.name} has no rational embedding")
-    n, m = A.n_rows, A.n_cols
-    big = [[Fraction(0)] * (m * k) for _ in range(n * k)]
-    for i in range(n):
-        for j in range(m):
-            block = A.ring.flatten(A.entries[i][j])
-            for r in range(k):
-                for c in range(k):
-                    big[i * k + r][j * k + c] = block[r][c]
-    return big
-
-
-def unflatten_matrix(ring, big, n_rows: int, n_cols: int, row_labels=None, col_labels=None) -> NcMatrix:
-    """Inverse of flatten_matrix for a given target shape."""
+def flatten_matrix(A: NcMatrix):
+    """Expand a matrix over a rational-embeddable ring into one int
+    matrix with a positive scale per row, ``(num, scales)``: the rational
+    matrix is ``diag(scales)^-1 num`` (block structure forgotten).  The
+    k rows flattened from one row of A share its scale."""
+    ring = A.ring
     k = ring.flat_dim
-    rows = [
-        [
+    if k is None:
+        raise TypeError(f"{ring.name} has no rational embedding")
+    num, scales = [], []
+    for row in A.entries:
+        blocks = [ring.flatten(x) for x in row]
+        scale = lcm(*(den for _, den in blocks))
+        factors = [(block, scale // den) for block, den in blocks]
+        for r in range(k):
+            num.append([v * f for block, f in factors for v in block[r]])
+        scales += [scale] * k
+    return num, scales
+
+
+def unflatten_matrix(
+    ring, num, den, n_rows: int, n_cols: int, row_labels=None, col_labels=None
+) -> NcMatrix:
+    """The matrix over ``ring`` whose flattening is ``num / den`` (one
+    nonzero int denominator), for a given target shape."""
+    k = ring.flat_dim
+    rows = tuple(
+        tuple(
             ring.unflatten(
-                [[big[i * k + r][j * k + c] for c in range(k)] for r in range(k)]
+                ([row[j * k : j * k + k] for row in num[i * k : i * k + k]], den)
             )
             for j in range(n_cols)
-        ]
+        )
         for i in range(n_rows)
-    ]
-    return NcMatrix(ring, rows, row_labels, col_labels)
+    )
+    return NcMatrix._make(
+        ring,
+        rows,
+        tuple(row_labels) if row_labels is not None else tuple(range(1, n_rows + 1)),
+        tuple(col_labels) if col_labels is not None else tuple(range(1, n_cols + 1)),
+    )
 
 
 def row_times_matrix(row: Sequence, mat: NcMatrix) -> list:
@@ -572,7 +600,9 @@ class MatrixRing(ScalarRing):
         return {"kind": "matrix-ring", "base": self.base.spec(), "n": self.n}
 
     def flatten(self, a: NcMatrix):
-        return flatten_matrix(a)
+        num, scales = flatten_matrix(a)
+        den = lcm(*scales)
+        return [[v * (den // s) for v in row] for row, s in zip(num, scales)], den
 
-    def unflatten(self, rows):
-        return unflatten_matrix(self.base, rows, self.n, self.n)
+    def unflatten(self, block):
+        return unflatten_matrix(self.base, *block, self.n, self.n)

@@ -14,6 +14,7 @@ the other side.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import right_kernel
@@ -219,8 +220,13 @@ def kernel_complement(A: NcMatrix) -> Optional[NcMatrix]:
     if dd is None:
         raise TypeError("kernel construction needs a rational-embeddable ring")
     k, n = A.n_rows, A.n_cols
-    basis = right_kernel(flatten_matrix(A))
+    # the row scales do not move the kernel
+    basis = right_kernel(flatten_matrix(A)[0])
     if len(basis) != (n - k) * dd:
         return None
-    big = [[vec[r] for vec in basis] for r in range(n * dd)]
-    return unflatten_matrix(ring, big, n, n - k, range(1, n + 1), range(1, n - k + 1))
+    den = lcm(*(x.denominator for vec in basis for x in vec))
+    big = [
+        [vec[r].numerator * (den // vec[r].denominator) for vec in basis]
+        for r in range(n * dd)
+    ]
+    return unflatten_matrix(ring, big, den, n, n - k, range(1, n + 1), range(1, n - k + 1))

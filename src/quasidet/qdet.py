@@ -4,10 +4,13 @@ matrix substituted into its own characteristic expressions.
 
 Two routes compute a quasideterminant: the defining recursion over
 quasiminors (memoized; exponential blowup without memoization) and the
-minor-inverse formula through the inverse of the deleted submatrix
-(polynomial once the ring can invert matrices).  They agree wherever
-both are defined, which the test harness checks exhaustively at small
-sizes.
+minor-inverse formula a_pq - r B c through the inverse B of the deleted
+submatrix (polynomial once the ring can invert matrices).  Over a ring
+that embeds in k x k rational matrices the minor-inverse formula is the
+k x k Schur complement of the flattened minor (heredity, in its
+commutative shadow), read off one fraction-free elimination with no
+inverse built.  The routes agree wherever both are defined, which the
+test harness checks exhaustively at small sizes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .matrix import MatrixRing, NcMatrix, matrix_times_col
+from .exactlin import schur_complement
+from .matrix import MatrixRing, NcMatrix, flatten_matrix, matrix_times_col
 from .rings import DomainError
 
 _UNDEF = object()
@@ -25,8 +29,11 @@ def qdet(A: NcMatrix, p, q, method: str = "auto"):
     """Quasideterminant of A at pivot row p, pivot column q.
 
     method: "recursive" (defining recursion), "minor_inverse" (via the
-    inverse of the pivot-deleted submatrix) or "auto" (minor_inverse,
-    which every supported ring can evaluate).
+    inverse of the pivot-deleted submatrix; over a ring with ``flat_dim``
+    this is the Schur complement of the flattened minor) or "auto"
+    (minor_inverse, which every supported ring can evaluate).  Both raise
+    DomainError where the route is undefined; minor_inverse does so
+    exactly when the pivot-deleted submatrix is singular.
     """
     if not A.is_square():
         raise ValueError("quasideterminants need a square matrix")
@@ -41,6 +48,17 @@ def qdet(A: NcMatrix, p, q, method: str = "auto"):
 def _qdet_minor_inverse(A: NcMatrix, p, q):
     if A.n_rows == 1:
         return A.entry(p, q)
+    ring = A.ring
+    if ring.flat_dim is not None:
+        # pivot row and column last: |A|_pq is the trailing Schur complement
+        rows = [r for r in A.row_labels if r != p] + [p]
+        cols = [c for c in A.col_labels if c != q] + [q]
+        schur = schur_complement(*flatten_matrix(A.reorder(rows, cols)), ring.flat_dim)
+        if schur is None:
+            raise DomainError(
+                "matrix is singular over " + ring.name, payload=A.delete_row_col(p, q)
+            )
+        return ring.unflatten(schur)
     minor = A.delete_row_col(p, q)
     B = minor.inverse()  # rows: minor's col labels, cols: minor's row labels
     acc = A.entry(p, q)

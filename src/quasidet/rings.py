@@ -57,7 +57,9 @@ class ScalarRing:
     ``*`` and ``==`` exactly; the ring supplies identities, inversion,
     sampling and serialization.  ``flat_dim`` is the size of an exact
     rational-matrix embedding when one exists (used to invert matrices
-    over the ring by flattening), else ``None``.
+    over the ring by flattening), else ``None``.  The embedding is
+    exchanged as an int block ``(num, den)``: a k x k int matrix ``num``
+    over one nonzero int denominator ``den``.
     """
 
     name: str = "ring"
@@ -110,10 +112,12 @@ class ScalarRing:
         raise NotImplementedError
 
     # exact rational-matrix embedding, defined when flat_dim is not None
-    def flatten(self, a) -> list[list[Fraction]]:
+    def flatten(self, a) -> tuple[Sequence[Sequence[int]], int]:
+        """The int block ``(num, den)`` of ``a``, with ``den > 0``."""
         raise NotImplementedError
 
-    def unflatten(self, rows: Sequence[Sequence[Fraction]]):
+    def unflatten(self, block: tuple[Sequence[Sequence[int]], int]):
+        """The element whose embedding is ``num / den``."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -184,10 +188,11 @@ class Rationals(ScalarRing):
         return {"kind": "rationals"}
 
     def flatten(self, a):
-        return [[a]]
+        return ((a.numerator,),), a.denominator
 
-    def unflatten(self, rows):
-        return Fraction(rows[0][0])
+    def unflatten(self, block):
+        num, den = block
+        return Fraction(num[0][0], den)
 
 
 class MatScalar:
@@ -240,6 +245,11 @@ class MatScalar:
     def _combine(self, other, op):
         self._check(other)
         da, db = self.den, other.den
+        # an exact-zero operand (the canonical zero has denominator 1)
+        if db == 1 and not any(map(any, other.num)):
+            return self
+        if da == 1 and not any(map(any, self.num)):
+            return other if op is operator.add else -other
         if da == db:
             return MatScalar(
                 tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)),
@@ -315,12 +325,10 @@ class SquareMatrices(ScalarRing):
         return a.den == 1 and not any(map(any, a.num))
 
     def try_invert(self, a: MatScalar):
-        from .exactlin import invert_rational
+        from .exactlin import invert_scaled
 
-        inv = invert_rational(a.rows)
-        if inv is None:
-            return None
-        return MatScalar(inv)
+        inv = invert_scaled(a.num, (a.den,) * self.d)
+        return None if inv is None else self.unflatten(inv)
 
     def from_int(self, m: int):
         d = self.d
@@ -360,10 +368,11 @@ class SquareMatrices(ScalarRing):
         return {"kind": "matrices", "d": self.d}
 
     def flatten(self, a: MatScalar):
-        return [list(r) for r in a.rows]
+        return a.num, a.den
 
-    def unflatten(self, rows):
-        return MatScalar(rows)
+    def unflatten(self, block):
+        num, den = block
+        return MatScalar(tuple(map(tuple, num)), den)
 
 
 def _zeros_filled(coeffs, base):

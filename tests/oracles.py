@@ -372,3 +372,11 @@ def dense_matrix_mul(ring, rows_a, rows_b):
             line.append(acc)
         out.append(line)
     return out
+
+
+def entrywise(op, rows_a, rows_b):
+    """Entrywise ``op`` of two equal-shape matrices, as Fraction rows."""
+    return tuple(
+        tuple(op(Fraction(x), Fraction(y)) for x, y in zip(ra, rb))
+        for ra, rb in zip(rows_a, rows_b)
+    )

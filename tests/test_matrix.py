@@ -30,6 +30,25 @@ def A33(Q):
     return NcMatrix(Q, [[1, 0, 1], [2, 1, 0], [0, 3, 1]])
 
 
+class TestConstruction:
+    def test_public_constructor_coerces_and_checks(self, Q):
+        A = NcMatrix(Q, [[1, 2]])
+        assert all(type(x) is Fraction for x in A.entries[0])
+        assert A.entries == ((Fraction(1), Fraction(2)),)
+        with pytest.raises(ValueError, match="ragged"):
+            NcMatrix(Q, [[1, 2], [3]])
+        with pytest.raises(ValueError, match="duplicate"):
+            NcMatrix(Q, [[1, 2]], col_labels=[1, 1])
+        with pytest.raises(ValueError, match="duplicate"):
+            NcMatrix(Q, [[1], [2]], row_labels=[3, 3])
+
+    def test_derived_matrices_hold_canonical_entries(self, A22, Q):
+        for B in (A22 * A22, A22 + A22, -A22, A22.select([2], [1, 2]), A22.inverse()):
+            assert all(type(x) is Fraction for row in B.entries for x in row)
+            assert type(B.entries) is tuple and all(type(r) is tuple for r in B.entries)
+            assert B == NcMatrix(Q, B.entries, B.row_labels, B.col_labels)
+
+
 class TestSubmatrices:
     def test_delete_row_col_two_by_two(self, A22):
         sub = A22.delete_row_col(1, 1)

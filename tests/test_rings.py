@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -125,6 +126,22 @@ def test_matscalar_canonical_form(d, data):
     twice = a + a
     assert twice == MatScalar([[2 * v for v in r] for r in a.rows])
     assert hash(twice) == hash(MatScalar(twice.rows)) == hash(twice.rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_matscalar_sums_with_planted_zero_operands(d, data):
+    ring = SquareMatrices(d)
+    a, b = (data.draw(st.one_of(st.just(ring.zero), matscalars(d))) for _ in "ab")
+    for x, y in ((a, b), (b, a)):
+        for got, op in ((x + y, operator.add), (x - y, operator.sub)):
+            assert got.rows == oracles.entrywise(op, x.rows, y.rows)
+            assert_canonical(got)
+    # a zero operand hands back the other one, negated for 0 - b
+    if ring.is_zero(b):
+        assert a + b is a and a - b is a
+        assert b - a == -a
+        assert b + a is a or ring.is_zero(a)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
