@@ -11,7 +11,7 @@ Subcommands:
   contfrac         convergent/corner agreement at given size/dimension
   rr               matched q-series coefficients of the depth-truncated tower
 
-Exit codes: 0 all expectations met, 1 unexpected counterexample,
+Exit codes: 0 all expectations met, 1 unexpected counterexample or error,
 2 exhausted domains only, 3 usage error.
 """
 

@@ -8,14 +8,17 @@ evaluated successfully with no mismatch; ``counterexample`` on the first
 exact mismatch (the drawn inputs and both sides are stored and replay
 bit-exactly); ``domain_exhausted`` when some sample slot ran out of
 resampling attempts; ``no_cells`` when the ``dims``/``sizes`` filters leave
-the identity no cell, so nothing was sampled.  Control entries expect a
-counterexample, so the aggregate outcome of a run compares each verdict
-against its expectation; ``no_cells`` never meets an expectation.
+the identity no cell, so nothing was sampled; ``error`` when a check
+raised anything else (the ``counterexample`` slot then holds the draw log
+and the exception's type and text, and its replay raises it again).
+Control entries expect a counterexample, so the aggregate outcome of a
+run compares each verdict against its expectation; ``no_cells`` and
+``error`` never meet an expectation.
 
 Exit codes: 0 when every identity meets its expectation, 1 when any
-identity yields an unexpected counterexample (or a control fails to
-find one), 2 when the only departures are exhausted domains, 3 for
-usage errors.
+identity yields an unexpected counterexample or an error (or a control
+fails to find one), 2 when the only departures are exhausted domains, 3
+for usage errors.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ COUNTEREXAMPLE = "counterexample"
 DOMAIN_EXHAUSTED = "domain_exhausted"
 # the cell filters of a run left the identity nothing to sample
 NO_CELLS = "no_cells"
+# the check raised something other than DomainError or MismatchFound
+ERROR = "error"
 
 
 def ring_for_dimension(d: int) -> ScalarRing:
@@ -147,24 +152,29 @@ def run_identity(
                 except DomainError:
                     continue
                 except MismatchFound as found:
+                    status, record = COUNTEREXAMPLE, found.record
                     verdict.succeeded += 1
                     cell["succeeded"] += 1
-                    cell["status"] = COUNTEREXAMPLE
-                    verdict.status = COUNTEREXAMPLE
-                    verdict.counterexample = {
-                        "identity": desc.ident,
-                        "n": n,
-                        "d": d,
-                        "sample": k,
-                        "attempt": attempt,
-                        "draws": draw.log,
-                        **found.record,
-                    }
-                    return verdict
-                verdict.succeeded += 1
-                cell["succeeded"] += 1
-                slot_done = True
-                break
+                except Exception as exc:
+                    # fails this identity, not the run; replay re-raises with traceback
+                    error = {"type": type(exc).__name__, "message": str(exc)}
+                    status, record = ERROR, {"error": error}
+                else:
+                    verdict.succeeded += 1
+                    cell["succeeded"] += 1
+                    slot_done = True
+                    break
+                cell["status"] = verdict.status = status
+                verdict.counterexample = {
+                    "identity": desc.ident,
+                    "n": n,
+                    "d": d,
+                    "sample": k,
+                    "attempt": attempt,
+                    "draws": draw.log,
+                    **record,
+                }
+                return verdict
             if not slot_done:
                 cell["status"] = DOMAIN_EXHAUSTED
                 if verdict.status == VERIFIED:
@@ -204,7 +214,9 @@ def run_suite(config: Optional[RunConfig] = None) -> dict:
     config = config or RunConfig()
     start = time.time()
     entries = []
-    counts = dict.fromkeys((VERIFIED, COUNTEREXAMPLE, DOMAIN_EXHAUSTED, NO_CELLS), 0)
+    counts = dict.fromkeys(
+        (VERIFIED, COUNTEREXAMPLE, DOMAIN_EXHAUSTED, NO_CELLS, ERROR), 0
+    )
     unexpected = []
     for desc in _selected(config):
         verdict = run_identity(desc, config)

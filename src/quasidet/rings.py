@@ -203,7 +203,9 @@ class MatScalar:
     exactly one representation and arithmetic runs on Python ints.
     ``MatScalar(rows)`` takes rows of ints or Fractions;
     ``MatScalar(num, den)`` takes a tuple of int-tuples over any nonzero
-    int ``den`` and reduces it.
+    int ``den`` and reduces it.  Products and sums at d <= 3 run through
+    the straight-line kernels in ``_MUL`` and ``_COMBINE``; results they
+    reduce themselves, and negations, are built by ``_new`` instead.
     """
 
     __slots__ = ("d", "num", "den")
@@ -237,37 +239,44 @@ class MatScalar:
         return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
-    def _combine(self, other, op):
+    def _combine(self, other, sign):
         self._check(other)
-        da, db = self.den, other.den
-        # an exact-zero operand (the canonical zero has denominator 1)
-        if db == 1 and not any(map(any, other.num)):
+        an, bn = self.num, other.num
+        zero = _ZERO_NUM[self.d]
+        if bn == zero:
             return self
-        if da == 1 and not any(map(any, self.num)):
-            return other if op is operator.add else -other
+        if an == zero:
+            return other if sign == 1 else -other
+        # self + sign * other = (x * u + y * v) / den entry by entry
+        da, db = self.den, other.den
         if da == db:
-            return MatScalar(
-                tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)),
-                da,
-            )
+            u, v, den = 1, sign, da
+        else:
+            u, v, den = db, sign * da, da * db
+        kernel = _COMBINE.get(self.d)
+        if kernel is not None:
+            return kernel(an, bn, u, v, den)
         return MatScalar(
             tuple(
-                tuple(op(x * db, y * da) for x, y in zip(ra, rb))
-                for ra, rb in zip(self.num, other.num)
+                tuple(x * u + y * v for x, y in zip(ra, rb))
+                for ra, rb in zip(an, bn)
             ),
-            da * db,
+            den,
         )
 
     def __neg__(self):
-        return MatScalar(tuple(tuple(-x for x in r) for r in self.num), self.den)
+        return _new(tuple([tuple([-x for x in r]) for r in self.num]), self.den, self.d)
 
     def __mul__(self, other):
         self._check(other)
+        kernel = _MUL.get(self.d)
+        if kernel is not None:
+            return kernel(self.num, other.num, self.den * other.den)
         cols = tuple(zip(*other.num))
         return MatScalar(
             tuple(
@@ -298,6 +307,89 @@ class MatScalar:
         return f"[{body}]"
 
 
+class _ZeroNums(dict):
+    def __missing__(self, d):  # d -> num of the d x d zero matrix
+        self[d] = zero = ((0,) * d,) * d
+        return zero
+
+
+_ZERO_NUM = _ZeroNums()
+
+
+def _new(num, den, d):
+    """A MatScalar from a ``num`` over ``den`` already in lowest terms."""
+    a = object.__new__(MatScalar)
+    a.d, a.num, a.den = d, num, den
+    return a
+
+
+# Straight-line kernels for d <= 3: every entry is one expression, and
+# _canon<d> reduces them by one gcd over the positive denominator.
+
+
+def _canon1(den, c):
+    g = gcd(den, c)
+    return _new(((c // g,),), den // g, 1)
+
+
+def _canon2(den, p, q, r, s):
+    g = gcd(den, p, q, r, s)
+    if g != 1:
+        den, p, q, r, s = den // g, p // g, q // g, r // g, s // g
+    return _new(((p, q), (r, s)), den, 2)
+
+
+def _mul2(a, b, den):
+    (p, q), (r, s) = a
+    (w, x), (y, z) = b
+    return _canon2(den, p * w + q * y, p * x + q * z, r * w + s * y, r * x + s * z)
+
+
+def _combine2(a, b, u, v, den):
+    (p, q), (r, s) = a
+    (w, x), (y, z) = b
+    return _canon2(den, p * u + w * v, q * u + x * v, r * u + y * v, s * u + z * v)
+
+
+def _canon3(den, *c):
+    g = gcd(den, *c)
+    if g != 1:
+        den, c = den // g, tuple([x // g for x in c])
+    return _new((c[0:3], c[3:6], c[6:9]), den, 3)
+
+
+def _mul3(a, b, den):
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return _canon3(
+        den,
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+def _combine3(a, b, u, v, den):
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return _canon3(
+        den,
+        a0 * u + b0 * v, a1 * u + b1 * v, a2 * u + b2 * v,
+        a3 * u + b3 * v, a4 * u + b4 * v, a5 * u + b5 * v,
+        a6 * u + b6 * v, a7 * u + b7 * v, a8 * u + b8 * v,
+    )
+
+
+# d -> kernel; a product kernel takes (a.num, b.num, a.den * b.den), a
+# combine kernel (a.num, b.num, u, v, den) for (a * u + b * v) / den
+_MUL = {1: lambda a, b, den: _canon1(den, a[0][0] * b[0][0]), 2: _mul2, 3: _mul3}
+_COMBINE = {
+    1: lambda a, b, u, v, den: _canon1(den, a[0][0] * u + b[0][0] * v),
+    2: _combine2,
+    3: _combine3,
+}
+
+
 class SquareMatrices(ScalarRing):
     """Ring of d x d exact-rational matrices; invertible iff det != 0."""
 
@@ -307,10 +399,8 @@ class SquareMatrices(ScalarRing):
         self.d = d
         self.name = f"M{d}(Q)"
         self.flat_dim = d
-        self._zero = MatScalar([[0] * d for _ in range(d)])
-        self._one = MatScalar(
-            [[int(i == j) for j in range(d)] for i in range(d)]
-        )
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     @property
     def zero(self):
@@ -321,8 +411,8 @@ class SquareMatrices(ScalarRing):
         return self._one
 
     def is_zero(self, a: MatScalar) -> bool:
-        # the canonical zero has denominator 1
-        return a.den == 1 and not any(map(any, a.num))
+        # the canonical zero has denominator 1, so its num is all zeros
+        return a.num == _ZERO_NUM[a.d]
 
     def try_invert(self, a: MatScalar):
         from .exactlin import invert_scaled
@@ -331,10 +421,7 @@ class SquareMatrices(ScalarRing):
         return None if inv is None else self.unflatten(inv)
 
     def from_int(self, m: int):
-        d = self.d
-        return MatScalar(
-            [[m if i == j else 0 for j in range(d)] for i in range(d)]
-        )
+        return self.scalar_matrix(m)
 
     def scalar_matrix(self, x: Fraction):
         d = self.d

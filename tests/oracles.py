@@ -380,3 +380,15 @@ def entrywise(op, rows_a, rows_b):
         tuple(op(Fraction(x), Fraction(y)) for x, y in zip(ra, rb))
         for ra, rb in zip(rows_a, rows_b)
     )
+
+
+def matmul_rows(rows_a, rows_b):
+    """Product of two square matrices given as rows, as Fraction rows."""
+    cols = list(zip(*rows_b))
+    return tuple(
+        tuple(
+            sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+            for col in cols
+        )
+        for row in rows_a
+    )

@@ -158,6 +158,53 @@ class TestReplay:
             replay_from_report(report, "RING-AXIOMS")
 
 
+def _plant_fault(monkeypatch, ident):
+    """Make ``ident``'s check raise after its draws, as a slip in a kernel would."""
+    desc = get_identity(ident)
+    original = desc.check
+
+    def check(ctx):
+        original(ctx)
+        raise ZeroDivisionError(f"planted fault at d={ctx.d}")
+
+    monkeypatch.setattr(desc, "check", check)
+    return desc
+
+
+class TestErrorIsolation:
+    def test_fault_in_a_check_is_an_error_verdict(self, monkeypatch):
+        desc = _plant_fault(monkeypatch, "QDET-DEF-AGREE")
+        verdict = run_identity(desc, RunConfig(samples=2, dims=[2]))
+        assert verdict.status == "error"
+        assert verdict.attempted == 1 and verdict.succeeded == 0
+        assert verdict.cells[-1]["status"] == "error"
+        record = verdict.counterexample
+        assert record["error"] == {
+            "type": "ZeroDivisionError",
+            "message": "planted fault at d=2",
+        }
+        assert record["draws"] and (record["d"], record["sample"]) == (2, 0)
+
+    def test_fault_fails_the_run_and_later_identities_still_run(self, monkeypatch):
+        _plant_fault(monkeypatch, "RING-AXIOMS")
+        only = ["RING-AXIOMS", "SERIES-INVERSION", "QDET-DEF-AGREE"]
+        report = run_suite(RunConfig(samples=1, only=only))
+        # the faulted identity comes first in catalog order
+        assert [e["id"] for e in report["identities"]] == only
+        statuses = [e["status"] for e in report["identities"]]
+        assert statuses == ["error", "verified", "verified"]
+        assert report["summary"]["unexpected"] == ["RING-AXIOMS"]
+        assert report["exit_code"] == 1
+
+    def test_replay_of_an_error_raises_the_same_exception(self, monkeypatch, tmp_path):
+        _plant_fault(monkeypatch, "QDET-DEF-AGREE")
+        report = run_suite(RunConfig(samples=1, only=["QDET-DEF-AGREE"]))
+        path = tmp_path / "report.json"
+        write_report(report, str(path))
+        with pytest.raises(ZeroDivisionError, match="planted fault"):
+            replay_from_report(load_report(str(path)), "QDET-DEF-AGREE")
+
+
 class TestRunSemantics:
     def test_unknown_identity_rejected(self):
         with pytest.raises(KeyError):

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasidet import rings
+from quasidet.catalog import get_identity
+from quasidet.harness import COUNTEREXAMPLE, VERIFIED, RunConfig, run_identity
 from quasidet.rings import (
     DomainError,
     MatScalar,
@@ -142,6 +145,68 @@ def test_matscalar_sums_with_planted_zero_operands(d, data):
         assert a + b is a and a - b is a
         assert b - a == -a
         assert b + a is a or ring.is_zero(a)
+
+
+def wide_fraction_rows(d):
+    # small entries, and entries whose numerators and denominators pass 2**64
+    big = 2**70
+    num = st.one_of(st.integers(-10, 10), st.integers(-big, big))
+    den = st.one_of(st.integers(1, 10), st.integers(2**64, big))
+    row = st.lists(st.builds(Fraction, num, den), min_size=d, max_size=d)
+    return st.lists(row, min_size=d, max_size=d)
+
+
+@st.composite
+def kernel_operands(draw, d):
+    """Two d x d MatScalars: independent, over one denominator, or a zero."""
+    a = MatScalar(draw(wide_fraction_rows(d)))
+    kind = draw(st.sampled_from(["independent", "same-den", "zero"]))
+    if kind == "same-den":
+        # a plus an int matrix keeps a's denominator
+        ks = iter(draw(st.lists(st.integers(-9, 9), min_size=d * d, max_size=d * d)))
+        b = MatScalar([[x + next(ks) * 2**66 for x in r] for r in a.rows])
+        assert b.den == a.den
+    elif kind == "zero":
+        b = SquareMatrices(d).zero
+    else:
+        b = MatScalar(draw(wide_fraction_rows(d)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_matscalar_kernels_match_fraction_rows(d, data):
+    # d <= 3 runs the straight-line kernels, d = 4 the generic loops
+    a, b = data.draw(kernel_operands(d))
+    cases = (
+        (a * b, oracles.matmul_rows(a.rows, b.rows)),
+        (a + b, oracles.entrywise(operator.add, a.rows, b.rows)),
+        (a - b, oracles.entrywise(operator.sub, a.rows, b.rows)),
+        (-a, oracles.entrywise(lambda x, _: -x, a.rows, a.rows)),
+    )
+    for got, rows in cases:
+        assert got.d == d and got.rows == rows
+        assert_canonical(got)
+        expected = MatScalar(rows)
+        assert got.num == expected.num and got.den == expected.den
+        assert got == expected and hash(got) == hash(expected)
+
+
+def _swapped(kernel):
+    return lambda a, b, den: kernel(b, a, den)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swapped_product_kernel_is_caught(monkeypatch, d):
+    # A kernel computing b * a instead of a * b is killed by the
+    # quasideterminant identities.  RING-AXIOMS cannot kill it: the
+    # opposite ring is still a ring, so every axiom holds.
+    desc = get_identity("QDET-DEF-AGREE")
+    config = RunConfig(samples=3, dims=[d])
+    assert run_identity(desc, config).status == VERIFIED
+    monkeypatch.setitem(rings._MUL, d, _swapped(rings._MUL[d]))
+    assert run_identity(desc, config).status == COUNTEREXAMPLE
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
