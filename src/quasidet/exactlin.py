@@ -5,8 +5,9 @@ and matrix-scalar rings, the Schur-complement route to their
 quasideterminants, the commutative determinant checks and the kernel
 construction used by the duality identity.  Everything is exact.  The
 inverse, the Schur complement, the rank and the right kernel share one
-fraction-free Gauss-Jordan core on Python ints; the determinant runs its
-own Bareiss elimination so it stays an independent route from that core.
+fraction-free elimination core on Python ints (Gauss-Jordan, or forward
+only for the Schur complement); the determinant runs its own Bareiss
+elimination so it stays an independent route from that core.
 
 The flattening of a matrix over a rational-embeddable ring reaches this
 module as an int matrix ``num`` with one positive scale per row: the
@@ -24,30 +25,36 @@ def _integer_rows(rows):
     """Each row times the lcm of its denominators: (int rows, row scales)."""
     out, scales = [], []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        pairs = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[den for _, den in pairs])
+        out.append([num * (scale // den) for num, den in pairs])
         scales.append(scale)
     return out, scales
 
 
 def _eliminate(m, n_cols, n_pivot_rows=None):
-    """Fraction-free Gauss-Jordan elimination of the int matrix ``m``, in place.
+    """Fraction-free elimination of the int matrix ``m``, in place.
 
     Pivots are sought in the first ``n_cols`` columns, at the first
     nonzero entry on or below the current row and above row
     ``n_pivot_rows`` (default: every row).  Each step with pivot p
-    replaces every other row by ``(p * row - f * pivot_row) // prev``,
-    where f is the row's entry in the pivot column and prev the previous
-    pivot.  By Sylvester's identity (Bareiss, Math. Comp. 22, 1968) every
-    entry stays an integer minor of the input, so the division is exact.
-    Returns the pivot columns and the last pivot p: every pivot row ends
-    with p on its pivot, and row r divided by p is row r of the reduced
-    row echelon form.  A row at or past ``n_pivot_rows`` ends as p times
-    itself minus its projection onto the pivot rows, so with the leading
-    square block nonsingular its trailing part is p times the Schur
-    complement of that block.
+    replaces a row by ``(p * row - f * pivot_row) // prev``, where f is
+    the row's entry in the pivot column and prev the previous pivot.  By
+    Sylvester's identity (Bareiss, Math. Comp. 22, 1968) every entry
+    stays an integer minor of the input, so the division is exact.
+    Returns the pivot columns and the last pivot p.
+
+    By default this is Gauss-Jordan: every other row is updated, every
+    pivot row ends with p on its pivot, and row r divided by p is row r
+    of the reduced row echelon form.  With ``n_pivot_rows`` it is forward
+    only: a step updates the rows below the pivot row, right of the pivot
+    column, and stops at the first column without a pivot.  A row at or
+    past ``n_pivot_rows`` evolves as under Gauss-Jordan, so with the
+    leading square block nonsingular its part right of the last pivot
+    column is p times the Schur complement of that block.
     """
-    n_rows = len(m) if n_pivot_rows is None else n_pivot_rows
+    forward = n_pivot_rows is not None
+    n_rows = n_pivot_rows if forward else len(m)
     pivots = []
     prev = 1
     for col in range(n_cols):
@@ -58,18 +65,33 @@ def _eliminate(m, n_cols, n_pivot_rows=None):
             if m[r][col]:
                 break
         else:
+            if forward:
+                break
             continue
         m[rank], m[r] = m[r], m[rank]
         prow = m[rank]
         p = prow[col]
-        for i, row in enumerate(m):
-            if i == rank:
-                continue
-            f = row[col]
-            if f:
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                m[i] = [p * x // prev for x in row]
+        if forward:
+            # entries up to the pivot column are never read again
+            start = col + 1
+            tail = prow[start:]
+            for row in m[rank + 1 :]:
+                f = row[col]
+                if f:
+                    row[start:] = [
+                        (p * x - f * y) // prev for x, y in zip(row[start:], tail)
+                    ]
+                elif p != prev:
+                    row[start:] = [p * x // prev for x in row[start:]]
+        else:
+            for i, row in enumerate(m):
+                if i == rank:
+                    continue
+                f = row[col]
+                if f:
+                    m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+                elif p != prev:
+                    m[i] = [p * x // prev for x in row]
         pivots.append(col)
         prev = p
     return pivots, prev

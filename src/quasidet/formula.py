@@ -180,17 +180,26 @@ def formula_height(f: RatFormula) -> int:
         if id(node) in heights:
             stack.pop()
             continue
-        height, pending = 0, False
-        for child in _children(node):
-            h = heights.get(id(child))
-            if h is None:
-                stack.append(child)
-                pending = True
-            elif h > height:
-                height = h
-        if not pending:
-            stack.pop()
-            heights[id(node)] = height + isinstance(node, Inv)
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            a, b = heights.get(id(node.left)), heights.get(id(node.right))
+            if a is None:
+                stack.append(node.left)
+            if b is None:
+                stack.append(node.right)
+            if a is None or b is None:
+                continue
+            height = a if a > b else b
+        elif kind is Neg or kind is Inv:
+            height = heights.get(id(node.child))
+            if height is None:
+                stack.append(node.child)
+                continue
+            height += kind is Inv
+        else:
+            height = 0
+        stack.pop()
+        heights[id(node)] = height
     return heights[id(f)]
 
 

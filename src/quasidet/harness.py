@@ -129,6 +129,7 @@ def run_identity(
         return verdict
     samples = desc.samples if desc.samples is not None else config.samples
     for (n, d) in cells:
+        ring = ring_for_dimension(max(d, 1))
         cell = {
             "n": n,
             "d": d,
@@ -142,9 +143,7 @@ def run_identity(
             slot_done = False
             for attempt in range(config.resample_limit):
                 draw = Draw(rng, profile=desc.profile)
-                ctx = CheckContext(
-                    draw=draw, ring=ring_for_dimension(max(d, 1)), n=n, d=d
-                )
+                ctx = CheckContext(draw=draw, ring=ring, n=n, d=d)
                 verdict.attempted += 1
                 cell["attempted"] += 1
                 try:
@@ -268,9 +267,9 @@ def run_suite(config: Optional[RunConfig] = None) -> dict:
 
 
 def write_report(report: dict, path: str) -> None:
+    # one write: json.dump would write the indented text chunk by chunk
     with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 def load_report(path: str) -> dict:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
-from .exactlin import invert_rational, invert_scaled
-from .rings import DomainError, ScalarRing, TruncatedSeriesRing, SeriesElement
+from .exactlin import _integer_rows, invert_rational, invert_scaled
+from .rings import DomainError, Rationals, ScalarRing, TruncatedSeriesRing, SeriesElement
 
 
 class NcMatrix:
@@ -326,7 +326,7 @@ class NcMatrix:
     def _inverse_flat(self) -> "NcMatrix":
         ring = self.ring
         n = self.n_rows
-        inv = invert_scaled(*flatten_matrix(self))
+        inv = invert_scaled(*flatten_matrix(ring, self.entries))
         if inv is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
         return unflatten_matrix(ring, *inv, n, n, self.col_labels, self.row_labels)
@@ -423,17 +423,19 @@ class NcMatrix:
         )
 
 
-def flatten_matrix(A: NcMatrix):
-    """Expand a matrix over a rational-embeddable ring into one int
+def flatten_matrix(ring, rows):
+    """Expand rows of elements of a rational-embeddable ring into one int
     matrix with a positive scale per row, ``(num, scales)``: the rational
     matrix is ``diag(scales)^-1 num`` (block structure forgotten).  The
-    k rows flattened from one row of A share its scale."""
-    ring = A.ring
+    k rows flattened from one row of elements share its scale."""
     k = ring.flat_dim
     if k is None:
         raise TypeError(f"{ring.name} has no rational embedding")
+    if isinstance(ring, Rationals):
+        # k = 1: each Fraction is its own numerator over its denominator
+        return _integer_rows(rows)
     num, scales = [], []
-    for row in A.entries:
+    for row in rows:
         blocks = [ring.flatten(x) for x in row]
         scale = lcm(*(den for _, den in blocks))
         factors = [(block, scale // den) for block, den in blocks]
@@ -600,7 +602,7 @@ class MatrixRing(ScalarRing):
         return {"kind": "matrix-ring", "base": self.base.spec(), "n": self.n}
 
     def flatten(self, a: NcMatrix):
-        num, scales = flatten_matrix(a)
+        num, scales = flatten_matrix(self.base, a.entries)
         den = lcm(*scales)
         return [[v * (den // s) for v in row] for row, s in zip(num, scales)], den
 

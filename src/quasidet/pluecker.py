@@ -221,7 +221,7 @@ def kernel_complement(A: NcMatrix) -> Optional[NcMatrix]:
         raise TypeError("kernel construction needs a rational-embeddable ring")
     k, n = A.n_rows, A.n_cols
     # the row scales do not move the kernel
-    basis = right_kernel(flatten_matrix(A)[0])
+    basis = right_kernel(flatten_matrix(ring, A.entries)[0])
     if len(basis) != (n - k) * dd:
         return None
     den = lcm(*(x.denominator for vec in basis for x in vec))

@@ -51,9 +51,10 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
     ring = A.ring
     if ring.flat_dim is not None:
         # pivot row and column last: |A|_pq is the trailing Schur complement
-        rows = [r for r in A.row_labels if r != p] + [p]
-        cols = [c for c in A.col_labels if c != q] + [q]
-        schur = schur_complement(*flatten_matrix(A.reorder(rows, cols)), ring.flat_dim)
+        i, j = A._row_pos(p), A._col_pos(q)
+        e = A.entries
+        rows = [(*r[:j], *r[j + 1 :], r[j]) for r in (*e[:i], *e[i + 1 :], e[i])]
+        schur = schur_complement(*flatten_matrix(ring, rows), ring.flat_dim)
         if schur is None:
             raise DomainError(
                 "matrix is singular over " + ring.name, payload=A.delete_row_col(p, q)

@@ -164,7 +164,8 @@ class Rationals(ScalarRing):
         return not a
 
     def try_invert(self, a):
-        a = Fraction(a)
+        if type(a) is not Fraction:
+            a = Fraction(a)
         if a == 0:
             return None
         return 1 / a
@@ -173,7 +174,7 @@ class Rationals(ScalarRing):
         return Fraction(m)
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def random_element(self, rng, profile=None):
         return (profile or DEFAULT_PROFILE).draw_fraction(rng)
@@ -441,12 +442,23 @@ class SquareMatrices(ScalarRing):
 
     def random_element(self, rng, profile=None):
         profile = profile or DEFAULT_PROFILE
-        return MatScalar(
-            [[profile.draw_fraction(rng) for _ in range(self.d)] for _ in range(self.d)]
-        )
+        # draw_fraction's randint calls, in its order, kept as ints
+        top, max_den, randint, d = profile.max_num, profile.max_den, rng.randint, self.d
+        draws = [(randint(-top, top), randint(1, max_den)) for _ in range(d * d)]
+        den = lcm(*(b for _, b in draws))
+        num = [a * (den // b) for a, b in draws]
+        return MatScalar(tuple(tuple(num[i : i + d]) for i in range(0, d * d, d)), den)
 
     def serialize(self, a: MatScalar):
-        return [[format_fraction(x) for x in r] for r in a.rows]
+        # format_fraction of each entry, reduced straight from num / den
+        den, out = a.den, []
+        for r in a.num:
+            row = []
+            for x in r:
+                g = gcd(x, den)
+                row.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+            out.append(row)
+        return out
 
     def deserialize(self, obj):
         return MatScalar([[_parse_fraction(x) for x in r] for r in obj])

@@ -392,3 +392,17 @@ def matmul_rows(rows_a, rows_b):
         )
         for row in rows_a
     )
+
+
+def fraction_draw_rows(rng, d, max_num=10, max_den=10):
+    """A d x d draw as one ``Fraction(randint(-max_num, max_num),
+    randint(1, max_den))`` per entry, row by row: the entry draw that
+    ``SampleProfile.draw_fraction`` makes, kept here as the reference for
+    ``SquareMatrices.random_element``."""
+    return tuple(
+        tuple(
+            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            for _ in range(d)
+        )
+        for _ in range(d)
+    )

@@ -205,18 +205,37 @@ def matrix_of(ring, grid):
     return NcMatrix(ring, [[from_block(ring, b) for b in row] for row in grid])
 
 
+def relabelled(ring, A, p, q):
+    """``A`` under non-default labels, with the pivot's labels there:
+    out of order and gapped, and as the minor left by deleting a middle
+    row and column of a larger matrix."""
+    n = A.n_rows
+    rl, cl = [7 * (n - r) + 2 for r in range(n)], [5 * c + 3 for c in range(n)]
+    mid = n // 2
+    rows = [[*row[:mid], ring.one, *row[mid:]] for row in A.entries]
+    rows.insert(mid, [ring.one] * (n + 1))
+    minor = NcMatrix(ring, rows).delete_row_col(mid + 1, mid + 1)
+    assert n < 2 or minor.row_labels != tuple(range(1, n + 1))
+    return [
+        (NcMatrix(ring, A.entries, rl, cl), rl[p - 1], cl[q - 1]),
+        (minor, p + (p > mid), q + (q > mid)),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(flat_ring_matrices(minor_only=True))
 def test_schur_route_matches_fraction_gauss_jordan(case):
     ring, grid, p, q = case
     n, k = len(grid), ring.flat_dim
     A = matrix_of(ring, grid)
+    cases = [(A, p, q), *relabelled(ring, A, p, q)]
     rows = [r for r in range(n) if r != p - 1]
     cols = [c for c in range(n) if c != q - 1]
     inv = invert_gauss_jordan(flat_blocks(grid, rows, cols))
     if inv is None:
-        with pytest.raises(DomainError):
-            qdet(A, p, q)
+        for B, bp, bq in cases:
+            with pytest.raises(DomainError):
+                qdet(B, bp, bq)
         return
     f12 = flat_blocks(grid, rows, [q - 1])
     f21 = flat_blocks(grid, [p - 1], cols)
@@ -233,7 +252,8 @@ def test_schur_route_matches_fraction_gauss_jordan(case):
         ]
         for r in range(k)
     ]
-    assert qdet(A, p, q) == from_block(ring, want)
+    for B, bp, bq in cases:
+        assert qdet(B, bp, bq) == from_block(ring, want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -175,6 +175,36 @@ def test_to_text_parse_roundtrip_evaluates_equally(f):
     assert evaluate(reparsed, sigma, Q) == expected
 
 
+def height_reference(node):
+    """Nested inversions by plain recursion, one visit per path."""
+    if isinstance(node, Inv):
+        return 1 + height_reference(node.child)
+    if isinstance(node, Neg):
+        return height_reference(node.child)
+    if isinstance(node, (Add, Mul)):
+        return max(height_reference(node.left), height_reference(node.right))
+    return 0
+
+
+@st.composite
+def shared_formulas(draw):
+    """A DAG whose leaves are parsed random formulas and whose every new
+    node takes its children from the nodes made so far, so subterms are
+    shared, down to both children of one node."""
+    pool = [parse(to_text(draw(formulas()))) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from([Add, Mul, Neg, Inv]))
+        pick = st.sampled_from(list(pool))
+        pool.append(kind(draw(pick), draw(pick)) if kind in (Add, Mul) else kind(draw(pick)))
+    return pool[-1]
+
+
+@given(f=shared_formulas())
+@settings(max_examples=100, deadline=None)
+def test_height_matches_reference_walk(f):
+    assert formula_height(f) == height_reference(f)
+
+
 class TestEquivalence:
     def test_inverse_law_verified(self):
         v = equivalent(

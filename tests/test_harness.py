@@ -127,6 +127,17 @@ class TestReplay:
         result = replay_from_report(loaded, "FALSE-COMMUTE")
         assert result["reproduced"]
 
+    def test_written_bytes_match_json_dump(self, tmp_path):
+        cfg = RunConfig(seed=0xBEEF, samples=2, only=["FALSE-COMMUTE", "RING-AXIOMS"])
+        report = run_suite(cfg)
+        report["config"]["note"] = "non-ASCII \u00e9 and \u2211"
+        path, ref = tmp_path / "report.json", tmp_path / "reference.json"
+        write_report(report, str(path))
+        with open(ref, "w") as handle:
+            json.dump(report, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_synthetic_injected_mismatch(self):
         # a one-off descriptor whose check always mis-compares: the
         # recorded draw log must replay to the same mismatch

@@ -209,10 +209,10 @@ def test_swapped_product_kernel_is_caught(monkeypatch, d):
     assert run_identity(desc, config).status == COUNTEREXAMPLE
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @given(data=st.data())
 def test_matscalar_serialization_strings(d, data):
-    rows = data.draw(fraction_rows(d))
+    rows = data.draw(st.one_of(fraction_rows(d), wide_fraction_rows(d)))
     ring = SquareMatrices(d)
     a = MatScalar(rows)
     text = ring.serialize(a)
@@ -220,6 +220,24 @@ def test_matscalar_serialization_strings(d, data):
     assert text == [[format_fraction(Fraction(x)) for x in r] for r in rows]
     back = ring.deserialize(text)
     assert back == a and back.num == a.num and back.den == a.den
+    for x in (-a, a * a, a - a, ring.one):
+        assert ring.serialize(x) == [[format_fraction(v) for v in r] for r in x.rows]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("bounds", [None, (10, 1), (3, 2), (1, 1), (2**70, 2**70)])
+def test_random_element_matches_fraction_draw(d, bounds):
+    ring = SquareMatrices(d)
+    profile = SampleProfile(*bounds) if bounds else None
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        a = ring.random_element(rng, profile)
+        want = oracles.fraction_draw_rows(ref, d, *(bounds or ()))
+        assert a.rows == want
+        assert (a.num, a.den) == (MatScalar(want).num, MatScalar(want).den)
+        assert_canonical(a)
+        # the same draws in the same order: both streams go on identically
+        assert rng.getstate() == ref.getstate()
 
 
 def test_series_invertible_iff_leading_coefficient_is(rng, M2):
