@@ -7,6 +7,8 @@ or more exact comparisons, and either passes, raises DomainError (the
 harness resamples), or records the first mismatch.  Entries marked
 ``expect="counterexample"`` are deliberate non-identities: asymmetry
 witnesses and comparator controls that MUST produce a counterexample.
+Each entry is declared by ``@identity(...)`` on its check function and
+joins ``CATALOG`` in definition order.
 """
 
 from __future__ import annotations
@@ -106,12 +108,17 @@ class IdentityDescriptor:
 CATALOG: list[IdentityDescriptor] = []
 
 
-def _register(**kwargs):
-    desc = IdentityDescriptor(**kwargs)
-    if any(d.ident == desc.ident for d in CATALOG):
-        raise ValueError(f"duplicate identity id {desc.ident}")
-    CATALOG.append(desc)
-    return desc
+def identity(**fields):
+    """Register the decorated check as a catalog entry; return it unchanged."""
+
+    def register(check):
+        desc = IdentityDescriptor(check=check, **fields)
+        if any(d.ident == desc.ident for d in CATALOG):
+            raise ValueError(f"duplicate identity id {desc.ident}")
+        CATALOG.append(desc)
+        return check
+
+    return register
 
 
 def catalog() -> list[IdentityDescriptor]:
@@ -194,6 +201,14 @@ def _permutation_orbit_values(ctx: CheckContext, count: int, perms, tries: int =
 # core module
 
 
+@identity(
+    ident="RING-AXIOMS",
+    module="core",
+    statement="every concrete scalar ring satisfies the unital ring axioms "
+    "exactly, and partial inversion returns two-sided inverses",
+    cells=((0, 1), (0, 2), (0, 3)),
+    operations=("rings",),
+)
 def check_ring_axioms(ctx: CheckContext):
     rings = [ctx.ring]
     if ctx.d <= 2:
@@ -218,17 +233,14 @@ def check_ring_axioms(ctx: CheckContext):
             ctx.compare("invert-left", inv * a, ring.one, ring)
 
 
-_register(
-    ident="RING-AXIOMS",
+@identity(
+    ident="SERIES-INVERSION",
     module="core",
-    statement="every concrete scalar ring satisfies the unital ring axioms "
-    "exactly, and partial inversion returns two-sided inverses",
+    statement="truncated series with invertible constant term invert "
+    "exactly, order by order, on both sides",
     cells=((0, 1), (0, 2), (0, 3)),
-    check=check_ring_axioms,
-    operations=("rings",),
+    operations=("rings.TruncatedSeriesRing",),
 )
-
-
 def check_series_inversion(ctx: CheckContext):
     T = TruncatedSeriesRing(SquareMatrices(ctx.d), 4)
     c = ctx.draw.invertible_scalar(T)
@@ -237,17 +249,14 @@ def check_series_inversion(ctx: CheckContext):
     ctx.compare("series-left-inverse", inv * c, T.one, T)
 
 
-_register(
-    ident="SERIES-INVERSION",
+@identity(
+    ident="EVAL-COMPOSITIONAL",
     module="core",
-    statement="truncated series with invertible constant term invert "
-    "exactly, order by order, on both sides",
-    cells=((0, 1), (0, 2), (0, 3)),
-    check=check_series_inversion,
-    operations=("rings.TruncatedSeriesRing",),
+    statement="formula evaluation distributes over node construction: "
+    "sums, products, negations and inverses evaluate pointwise",
+    cells=((0, 1), (0, 2)),
+    operations=("formula.evaluate",),
 )
-
-
 def check_eval_compositional(ctx: CheckContext):
     ring = ctx.ring
     names = ["x", "y", "w"]
@@ -277,17 +286,16 @@ def check_eval_compositional(ctx: CheckContext):
         ctx.compare("inv-rule", evaluate(Inv(f), sigma, ring), inv)
 
 
-_register(
-    ident="EVAL-COMPOSITIONAL",
+@identity(
+    ident="INVERSION-HEIGHT",
     module="core",
-    statement="formula evaluation distributes over node construction: "
-    "sums, products, negations and inverses evaluate pointwise",
-    cells=((0, 1), (0, 2)),
-    check=check_eval_compositional,
-    operations=("formula.evaluate",),
+    statement="the recursively built corner quasideterminant formula of "
+    "an n x n generic matrix has inversion height exactly n - 1 (upper "
+    "bound; minimality not claimed)",
+    cells=((6, 1),),
+    samples=1,
+    operations=("formula.qdet_formula", "formula.formula_height"),
 )
-
-
 def check_inversion_height(ctx: CheckContext):
     for n in range(1, 7):
         got = formula_height(qdet_formula(n))
@@ -299,32 +307,11 @@ def check_inversion_height(ctx: CheckContext):
         )
 
 
-_register(
-    ident="INVERSION-HEIGHT",
-    module="core",
-    statement="the recursively built corner quasideterminant formula of "
-    "an n x n generic matrix has inversion height exactly n - 1 (upper "
-    "bound; minimality not claimed)",
-    cells=((6, 1),),
-    check=check_inversion_height,
-    samples=1,
-    operations=("formula.qdet_formula", "formula.formula_height"),
-)
-
-
 # ---------------------------------------------------------------------------
 # quasideterminant module
 
 
-def check_def_agree(ctx: CheckContext):
-    A = _square(ctx)
-    p, q = _pivot(ctx, A)
-    rec = qdet(A, p, q, "recursive")
-    via_inverse = qdet(A, p, q, "minor_inverse")
-    ctx.compare("recursive-vs-minor-inverse", rec, via_inverse)
-
-
-_register(
+@identity(
     ident="QDET-DEF-AGREE",
     module="quasidet",
     statement="the recursive definition and the minor-inverse formula of "
@@ -335,12 +322,25 @@ _register(
         (4, 1), (4, 2),
         (5, 1),
     ),
-    check=check_def_agree,
     profile=SampleProfile(10, 1),
     operations=("qdet.qdet",),
 )
+def check_def_agree(ctx: CheckContext):
+    A = _square(ctx)
+    p, q = _pivot(ctx, A)
+    rec = qdet(A, p, q, "recursive")
+    via_inverse = qdet(A, p, q, "minor_inverse")
+    ctx.compare("recursive-vs-minor-inverse", rec, via_inverse)
 
 
+@identity(
+    ident="QDET-CLOSED-FORMS",
+    module="quasidet",
+    statement="the four 2x2 closed forms and the 3x3 corner closed form "
+    "match the quasideterminant",
+    cells=((2, 1), (2, 2), (2, 3)),
+    operations=("qdet.qdet",),
+)
 def check_closed_forms(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx, 2)
@@ -371,17 +371,14 @@ def check_closed_forms(ctx: CheckContext):
     ctx.compare("three-by-three-corner", qdet(B, 1, 1), display)
 
 
-_register(
-    ident="QDET-CLOSED-FORMS",
+@identity(
+    ident="QDET-COMMUTATIVE-RATIO",
     module="quasidet",
-    statement="the four 2x2 closed forms and the 3x3 corner closed form "
-    "match the quasideterminant",
-    cells=((2, 1), (2, 2), (2, 3)),
-    check=check_closed_forms,
-    operations=("qdet.qdet",),
+    statement="commutatively, a quasideterminant times the deleted minor "
+    "equals the signed determinant",
+    cells=((2, 1), (3, 1), (4, 1), (5, 1)),
+    operations=("qdet.qdet", "exactlin.det_bareiss"),
 )
-
-
 def check_commutative_ratio(ctx: CheckContext):
     A = _square(ctx)
     p, q = _pivot(ctx, A)
@@ -398,17 +395,14 @@ def check_commutative_ratio(ctx: CheckContext):
     ctx.compare("det-ratio", v * sub, sign * full)
 
 
-_register(
-    ident="QDET-COMMUTATIVE-RATIO",
+@identity(
+    ident="QDET-EXPANSIONS",
     module="quasidet",
-    statement="commutatively, a quasideterminant times the deleted minor "
-    "equals the signed determinant",
-    cells=((2, 1), (3, 1), (4, 1), (5, 1)),
-    check=check_commutative_ratio,
-    operations=("qdet.qdet", "exactlin.det_bareiss"),
+    statement="expansion along any other row or column reproduces the "
+    "quasideterminant",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("qdet.qdet_expansion",),
 )
-
-
 def check_expansions(ctx: CheckContext):
     A = _square(ctx)
     p, q = _pivot(ctx, A)
@@ -419,17 +413,14 @@ def check_expansions(ctx: CheckContext):
     ctx.compare("col-expansion", qdet_expansion(A, p, q, "col", l), base)
 
 
-_register(
-    ident="QDET-EXPANSIONS",
+@identity(
+    ident="HOMOLOGICAL-ROW",
     module="quasidet",
-    statement="expansion along any other row or column reproduces the "
-    "quasideterminant",
+    statement="row homological relations: the two column-shifted "
+    "quasiminor ratios agree for every witness row",
     cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_expansions,
-    operations=("qdet.qdet_expansion",),
+    operations=("qdet.qdet",),
 )
-
-
 def check_homological_row(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -443,17 +434,14 @@ def check_homological_row(ctx: CheckContext):
         ctx.compare(f"row-homological-s{s}", lhs, rhs)
 
 
-_register(
-    ident="HOMOLOGICAL-ROW",
+@identity(
+    ident="HOMOLOGICAL-COL",
     module="quasidet",
-    statement="row homological relations: the two column-shifted "
-    "quasiminor ratios agree for every witness row",
+    statement="column homological relations, quantified over every "
+    "witness column other than the pivot column",
     cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_homological_row,
     operations=("qdet.qdet",),
 )
-
-
 def check_homological_col(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -467,17 +455,14 @@ def check_homological_col(ctx: CheckContext):
         ctx.compare(f"col-homological-t{t}", lhs, rhs)
 
 
-_register(
-    ident="HOMOLOGICAL-COL",
+@identity(
+    ident="HEREDITY-BLOCK",
     module="quasidet",
-    statement="column homological relations, quantified over every "
-    "witness column other than the pivot column",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_homological_col,
-    operations=("qdet.qdet",),
+    statement="two-step evaluation through a 2x2 block split (complement "
+    "inverse then inner quasideterminant) equals direct evaluation",
+    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("qdet.heredity_qdet",),
 )
-
-
 def check_heredity_schur(ctx: CheckContext):
     A = _square(ctx)
     k = ctx.draw.int_range(1, ctx.n - 1)
@@ -491,17 +476,14 @@ def check_heredity_schur(ctx: CheckContext):
     )
 
 
-_register(
-    ident="HEREDITY-BLOCK",
+@identity(
+    ident="HEREDITY-GENERAL",
     module="quasidet",
-    statement="two-step evaluation through a 2x2 block split (complement "
-    "inverse then inner quasideterminant) equals direct evaluation",
-    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_heredity_schur,
-    operations=("qdet.heredity_qdet",),
+    statement="heredity through general block partitions, including the "
+    "uniform case computed inside the ring of blocks",
+    cells=((4, 1), (4, 2)),
+    operations=("qdet.heredity_qdet", "qdet.heredity_via_block_ring"),
 )
-
-
 def check_heredity_general(ctx: CheckContext):
     A = _square(ctx, 4)
     if ctx.draw.int_range(0, 1):
@@ -528,17 +510,14 @@ def check_heredity_general(ctx: CheckContext):
         )
 
 
-_register(
-    ident="HEREDITY-GENERAL",
+@identity(
+    ident="PERMUTATION-INVARIANCE",
     module="quasidet",
-    statement="heredity through general block partitions, including the "
-    "uniform case computed inside the ring of blocks",
-    cells=((4, 1), (4, 2)),
-    check=check_heredity_general,
-    operations=("qdet.heredity_qdet", "qdet.heredity_via_block_ring"),
+    statement="row/column permutations do not change a quasideterminant "
+    "(labels keep the pivot fixed)",
+    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("matrix.reorder", "qdet.qdet"),
 )
-
-
 def check_permutation_invariance(ctx: CheckContext):
     A = _square(ctx)
     p, q = _pivot(ctx, A)
@@ -549,17 +528,14 @@ def check_permutation_invariance(ctx: CheckContext):
     ctx.compare("label-permutation", qdet(B, p, q), base)
 
 
-_register(
-    ident="PERMUTATION-INVARIANCE",
+@identity(
+    ident="SCALING-LAWS",
     module="quasidet",
-    statement="row/column permutations do not change a quasideterminant "
-    "(labels keep the pivot fixed)",
-    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_permutation_invariance,
-    operations=("matrix.reorder", "qdet.qdet"),
+    statement="left row scaling multiplies the pivot-row quasideterminant "
+    "from the left and fixes the others; right column scaling mirrors it",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)),
+    operations=("matrix.scale_row_left", "matrix.scale_col_right"),
 )
-
-
 def check_scaling_laws(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -579,17 +555,16 @@ def check_scaling_laws(ctx: CheckContext):
         ctx.compare(f"col-scale-l{l}", qdet(C, i2, l), want)
 
 
-_register(
-    ident="SCALING-LAWS",
+@identity(
+    ident="ADDITION-LAWS",
     module="quasidet",
-    statement="left row scaling multiplies the pivot-row quasideterminant "
-    "from the left and fixes the others; right column scaling mirrors it",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)),
-    check=check_scaling_laws,
-    operations=("matrix.scale_row_left", "matrix.scale_col_right"),
+    statement="adding a left multiple of one row (or right multiple of "
+    "one column) fixes quasideterminants away from the source line, and "
+    "left/right factors with one unit line fix that line's "
+    "quasideterminants",
+    cells=((3, 1), (3, 2), (3, 3)),
+    operations=("matrix.row_op_left", "matrix.col_op_right"),
 )
-
-
 def check_addition_laws(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -645,19 +620,14 @@ def check_addition_laws(ctx: CheckContext):
     ctx.compare("unit-row-right-factor", qdet(A * Y, i, l), qdet(A, i, l))
 
 
-_register(
-    ident="ADDITION-LAWS",
+@identity(
+    ident="ZERO-CRITERION",
     module="quasidet",
-    statement="adding a left multiple of one row (or right multiple of "
-    "one column) fixes quasideterminants away from the source line, and "
-    "left/right factors with one unit line fix that line's "
-    "quasideterminants",
-    cells=((3, 1), (3, 2), (3, 3)),
-    check=check_addition_laws,
-    operations=("matrix.row_op_left", "matrix.col_op_right"),
+    statement="a quasideterminant whose pivot row is a left combination "
+    "of the other rows is zero whenever it is defined",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)),
+    operations=("qdet.qdet",),
 )
-
-
 def check_zero_criterion(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -680,17 +650,14 @@ def check_zero_criterion(ctx: CheckContext):
     ctx.compare("dependent-row-vanishes", v, ring.zero)
 
 
-_register(
-    ident="ZERO-CRITERION",
+@identity(
+    ident="RANK-QUASIMINORS",
     module="quasidet",
-    statement="a quasideterminant whose pivot row is a left combination "
-    "of the other rows is zero whenever it is defined",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1)),
-    check=check_zero_criterion,
-    operations=("qdet.qdet",),
+    statement="the largest size of a defined nonzero quasiminor equals "
+    "the classical rank over the rationals",
+    cells=((2, 1), (3, 1), (4, 1)),
+    operations=("qdet.rank_by_quasiminors",),
 )
-
-
 def check_rank(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -710,17 +677,14 @@ def check_rank(ctx: CheckContext):
     )
 
 
-_register(
-    ident="RANK-QUASIMINORS",
+@identity(
+    ident="SYLVESTER",
     module="quasidet",
-    statement="the largest size of a defined nonzero quasiminor equals "
-    "the classical rank over the rationals",
-    cells=((2, 1), (3, 1), (4, 1)),
-    check=check_rank,
-    operations=("qdet.rank_by_quasiminors",),
+    statement="the matrix of pivot-bordered quasideterminants has the "
+    "same quasideterminants as the original outside the pivot block",
+    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)),
+    operations=("qdet.sylvester_matrix",),
 )
-
-
 def check_sylvester(ctx: CheckContext):
     A = _square(ctx)
     k = ctx.draw.int_range(1, ctx.n - 2)
@@ -732,17 +696,15 @@ def check_sylvester(ctx: CheckContext):
     ctx.compare("pivot-block-reduction", qdet(B, i, j), qdet(A, i, j))
 
 
-_register(
-    ident="SYLVESTER",
+@identity(
+    ident="SYLVESTER-COMMUTATIVE",
     module="quasidet",
-    statement="the matrix of pivot-bordered quasideterminants has the "
-    "same quasideterminants as the original outside the pivot block",
-    cells=((3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)),
-    check=check_sylvester,
-    operations=("qdet.sylvester_matrix",),
+    statement="commutative specialization of the pivot-block reduction: "
+    "det A times det(A_0)^(n-k-1) equals the bordered determinant matrix's "
+    "determinant",
+    cells=((3, 1), (4, 1), (5, 1)),
+    operations=("exactlin.det_bareiss",),
 )
-
-
 def check_sylvester_commutative(ctx: CheckContext):
     A = _square(ctx)
     n = ctx.n
@@ -772,18 +734,15 @@ def check_sylvester_commutative(ctx: CheckContext):
     )
 
 
-_register(
-    ident="SYLVESTER-COMMUTATIVE",
+@identity(
+    ident="JACOBI-QUASIMINORS",
     module="quasidet",
-    statement="commutative specialization of the pivot-block reduction: "
-    "det A times det(A_0)^(n-k-1) equals the bordered determinant matrix's "
-    "determinant",
-    cells=((3, 1), (4, 1), (5, 1)),
-    check=check_sylvester_commutative,
-    operations=("exactlin.det_bareiss",),
+    statement="a quasiminor of a matrix times the complementary "
+    "quasiminor of its inverse is one; specializes to entry times "
+    "quasideterminant",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("qdet.jacobi_factors", "matrix.inverse"),
 )
-
-
 def check_jacobi(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -804,18 +763,16 @@ def check_jacobi(ctx: CheckContext):
     )
 
 
-_register(
-    ident="JACOBI-QUASIMINORS",
+@identity(
+    ident="GENERALIZED-HOMOLOGICAL",
     module="quasidet",
-    statement="a quasiminor of a matrix times the complementary "
-    "quasiminor of its inverse is one; specializes to entry times "
-    "quasideterminant",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_jacobi,
-    operations=("qdet.jacobi_factors", "matrix.inverse"),
+    statement="deleted-line quasiminor sums against inverted full "
+    "quasideterminants produce exact Kronecker deltas, for witness "
+    "indices ranging over the deleted set and the reference line "
+    "(the configuration set verified exhaustively at small sizes)",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("qdet.homological_sum_rows", "qdet.homological_sum_cols"),
 )
-
-
 def check_generalized_homological(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -835,19 +792,14 @@ def check_generalized_homological(ctx: CheckContext):
         )
 
 
-_register(
-    ident="GENERALIZED-HOMOLOGICAL",
+@identity(
+    ident="MULTIPLICATIVE-QDET",
     module="quasidet",
-    statement="deleted-line quasiminor sums against inverted full "
-    "quasideterminants produce exact Kronecker deltas, for witness "
-    "indices ranging over the deleted set and the reference line "
-    "(the configuration set verified exhaustively at small sizes)",
+    statement="the inverted quasideterminant of a product is the sum of "
+    "products of inverted factors' quasideterminants over the shared index",
     cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_generalized_homological,
-    operations=("qdet.homological_sum_rows", "qdet.homological_sum_cols"),
+    operations=("qdet.qdet",),
 )
-
-
 def check_multiplicative(ctx: CheckContext):
     ring = ctx.ring
     X = _square(ctx)
@@ -860,17 +812,14 @@ def check_multiplicative(ctx: CheckContext):
     ctx.compare("product-inverse-sum", lhs, acc)
 
 
-_register(
-    ident="MULTIPLICATIVE-QDET",
+@identity(
+    ident="INVERSE-QDET-ENTRIES",
     module="quasidet",
-    statement="the inverted quasideterminant of a product is the sum of "
-    "products of inverted factors' quasideterminants over the shared index",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_multiplicative,
-    operations=("qdet.qdet",),
+    statement="the inverse matrix's entries are the inverted transposed "
+    "quasideterminants, and both one-sided products give the identity",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("matrix.inverse", "qdet.matrix_inverse"),
 )
-
-
 def check_inverse_entries(ctx: CheckContext):
     A = _square(ctx)
     B = A.inverse()
@@ -882,17 +831,13 @@ def check_inverse_entries(ctx: CheckContext):
             ctx.compare(f"entry-{i}{j}", B.entry(j, i), C.entry(j, i))
 
 
-_register(
-    ident="INVERSE-QDET-ENTRIES",
+@identity(
+    ident="HADAMARD-INVOLUTION",
     module="quasidet",
-    statement="the inverse matrix's entries are the inverted transposed "
-    "quasideterminants, and both one-sided products give the identity",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_inverse_entries,
-    operations=("matrix.inverse", "qdet.matrix_inverse"),
+    statement="the entrywise transposed inverse is an involution",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)),
+    operations=("qdet.hadamard_inverse",),
 )
-
-
 def check_hadamard(ctx: CheckContext):
     A = _square(ctx)
     H = hadamard_inverse(A)
@@ -900,16 +845,14 @@ def check_hadamard(ctx: CheckContext):
     ctx.require("involution", HH == NcMatrix(ctx.ring, A.entries, A.row_labels, A.col_labels))
 
 
-_register(
-    ident="HADAMARD-INVOLUTION",
+@identity(
+    ident="LINEAR-SOLVE",
     module="quasidet",
-    statement="the entrywise transposed inverse is an involution",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)),
-    check=check_hadamard,
-    operations=("qdet.hadamard_inverse",),
+    statement="the inverted-quasideterminant solution formula solves the "
+    "left linear system exactly",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("qdet.solve_system",),
 )
-
-
 def check_linear_solve(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -923,17 +866,14 @@ def check_linear_solve(ctx: CheckContext):
         ctx.compare(f"route-agreement-{pos}", x[pos], x_direct[pos])
 
 
-_register(
-    ident="LINEAR-SOLVE",
+@identity(
+    ident="CRAMER",
     module="quasidet",
-    statement="the inverted-quasideterminant solution formula solves the "
-    "left linear system exactly",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_linear_solve,
-    operations=("qdet.solve_system",),
+    statement="quasideterminant times solution component equals the "
+    "quasideterminant with the pivot column replaced by the right side",
+    cells=((1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)),
+    operations=("qdet.cramer_pair",),
 )
-
-
 def check_cramer(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -943,34 +883,20 @@ def check_cramer(ctx: CheckContext):
     ctx.compare("replaced-column", lhs, rhs_val)
 
 
-_register(
-    ident="CRAMER",
+@identity(
+    ident="CAYLEY-HAMILTON",
     module="quasidet",
-    statement="quasideterminant times solution component equals the "
-    "quasideterminant with the pivot column replaced by the right side",
-    cells=((1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)),
-    check=check_cramer,
-    operations=("qdet.cramer_pair",),
+    statement="substituting the matrix for the central variable of its "
+    "characteristic quasideterminant expressions gives zero at every pivot",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)),
+    operations=("qdet.cayley_hamilton",),
 )
-
-
 def check_cayley_hamilton(ctx: CheckContext):
     A = _square(ctx)
     values = cayley_hamilton(A)
     for i, row in enumerate(values, start=1):
         for j, v in enumerate(row, start=1):
             ctx.require(f"vanishes-{i}{j}", v.is_zero_matrix())
-
-
-_register(
-    ident="CAYLEY-HAMILTON",
-    module="quasidet",
-    statement="substituting the matrix for the central variable of its "
-    "characteristic quasideterminant expressions gives zero at every pivot",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)),
-    check=check_cayley_hamilton,
-    operations=("qdet.cayley_hamilton",),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +907,15 @@ def _wide(ctx: CheckContext, k: int, n: int) -> NcMatrix:
     return ctx.draw.matrix(ctx.ring, k, n)
 
 
+@identity(
+    ident="QPC-GENERATING",
+    module="pluecker",
+    statement="left coordinates are one on the diagonal, vanish when the "
+    "target column sits in the bordering set, compose transitively, and "
+    "ignore the bordering set's ordering",
+    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
+    operations=("pluecker.left_qpc",),
+)
 def check_qpc_generating(ctx: CheckContext):
     ring = ctx.ring
     k, n = 2, ctx.n
@@ -1006,18 +941,14 @@ def check_qpc_generating(ctx: CheckContext):
         )
 
 
-_register(
-    ident="QPC-GENERATING",
+@identity(
+    ident="QPC-ST-INDEPENDENCE",
     module="pluecker",
-    statement="left coordinates are one on the diagonal, vanish when the "
-    "target column sits in the bordering set, compose transitively, and "
-    "ignore the bordering set's ordering",
+    statement="the bordering row (resp. column) used to evaluate a left "
+    "(resp. right) coordinate does not affect its value",
     cells=((4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_qpc_generating,
-    operations=("pluecker.left_qpc",),
+    operations=("pluecker.left_qpc", "pluecker.right_qpc"),
 )
-
-
 def check_qpc_st_independence(ctx: CheckContext):
     k = 2 if ctx.n <= 4 else 3
     A = _wide(ctx, k, ctx.n)
@@ -1042,17 +973,14 @@ def check_qpc_st_independence(ctx: CheckContext):
         ctx.compare(f"col-witness-{pos}", v, values[0])
 
 
-_register(
-    ident="QPC-ST-INDEPENDENCE",
+@identity(
+    ident="QPC-GAUGE",
     module="pluecker",
-    statement="the bordering row (resp. column) used to evaluate a left "
-    "(resp. right) coordinate does not affect its value",
-    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_qpc_st_independence,
+    statement="left coordinates are invariant under invertible left "
+    "factors; right coordinates under invertible right factors",
+    cells=((4, 1), (4, 2), (4, 3), (5, 1), (5, 2)),
     operations=("pluecker.left_qpc", "pluecker.right_qpc"),
 )
-
-
 def check_qpc_gauge(ctx: CheckContext):
     k = 2
     A = _wide(ctx, k, ctx.n)
@@ -1070,17 +998,14 @@ def check_qpc_gauge(ctx: CheckContext):
     ctx.compare("right-gauge", pl.right_qpc(B * h, i, j, I), pl.right_qpc(B, i, j, I))
 
 
-_register(
-    ident="QPC-GAUGE",
+@identity(
+    ident="QPC-SKEW-SYMMETRY",
     module="pluecker",
-    statement="left coordinates are invariant under invertible left "
-    "factors; right coordinates under invertible right factors",
-    cells=((4, 1), (4, 2), (4, 3), (5, 1), (5, 2)),
-    check=check_qpc_gauge,
-    operations=("pluecker.left_qpc", "pluecker.right_qpc"),
+    statement="the cyclic triple product of left coordinates over a "
+    "(k+1)-set equals minus one",
+    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
+    operations=("pluecker.left_qpc",),
 )
-
-
 def check_qpc_skew(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 4 else 3
@@ -1093,17 +1018,14 @@ def check_qpc_skew(ctx: CheckContext):
     ctx.compare("triple-product", p1 * p2 * p3, -ring.one)
 
 
-_register(
-    ident="QPC-SKEW-SYMMETRY",
+@identity(
+    ident="PLUECKER-RELATION",
     module="pluecker",
-    statement="the cyclic triple product of left coordinates over a "
-    "(k+1)-set equals minus one",
-    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_qpc_skew,
+    statement="the bilinear sum of coordinates over a k-set of target "
+    "columns telescopes to one",
+    cells=((5, 1), (5, 2), (6, 1), (6, 2)),
     operations=("pluecker.left_qpc",),
 )
-
-
 def check_pluecker_relation(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 5 else 3
@@ -1120,17 +1042,14 @@ def check_pluecker_relation(ctx: CheckContext):
     ctx.compare("unit-sum", acc, ring.one)
 
 
-_register(
-    ident="PLUECKER-RELATION",
+@identity(
+    ident="QPC-EMBED",
     module="pluecker",
-    statement="the bilinear sum of coordinates over a k-set of target "
-    "columns telescopes to one",
-    cells=((5, 1), (5, 2), (6, 1), (6, 2)),
-    check=check_pluecker_relation,
-    operations=("pluecker.left_qpc",),
+    statement="padding a wide matrix with a shifted identity makes the "
+    "lower-left quasideterminants equal minus the left coordinates",
+    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
+    operations=("pluecker.embed_upper_identity", "qdet.qdet"),
 )
-
-
 def check_embed(ctx: CheckContext):
     k = 2 if ctx.n <= 4 else 3
     A = _wide(ctx, k, ctx.n)
@@ -1142,17 +1061,14 @@ def check_embed(ctx: CheckContext):
     ctx.compare("identity-padding", qdet(X, i, j), -p)
 
 
-_register(
-    ident="QPC-EMBED",
+@identity(
+    ident="QPC-NORMAL-FORM",
     module="pluecker",
-    statement="padding a wide matrix with a shifted identity makes the "
-    "lower-left quasideterminants equal minus the left coordinates",
-    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_embed,
-    operations=("pluecker.embed_upper_identity", "qdet.qdet"),
+    statement="clearing the leading block by its inverse leaves deltas "
+    "and left coordinates, and the result is a left-gauge invariant",
+    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("pluecker.normal_form",),
 )
-
-
 def check_normal_form(ctx: CheckContext):
     ring = ctx.ring
     k = 2
@@ -1171,17 +1087,14 @@ def check_normal_form(ctx: CheckContext):
     ctx.require("gauge-invariant-form", C2 == C)
 
 
-_register(
-    ident="QPC-NORMAL-FORM",
+@identity(
+    ident="QPC-DUALITY",
     module="pluecker",
-    statement="clearing the leading block by its inverse leaves deltas "
-    "and left coordinates, and the result is a left-gauge invariant",
-    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_normal_form,
-    operations=("pluecker.normal_form",),
+    statement="left coordinates of a wide matrix and right coordinates "
+    "of a kernel-built annihilator sum to zero",
+    cells=((4, 1), (4, 2), (4, 3)),
+    operations=("pluecker.kernel_complement", "pluecker.right_qpc"),
 )
-
-
 def check_duality(ctx: CheckContext):
     ring = ctx.ring
     k = 2
@@ -1201,17 +1114,14 @@ def check_duality(ctx: CheckContext):
     ctx.compare("orthogonal-sum", p + r, ring.zero)
 
 
-_register(
-    ident="QPC-DUALITY",
+@identity(
+    ident="QPC-K-STEP",
     module="pluecker",
-    statement="left coordinates of a wide matrix and right coordinates "
-    "of a kernel-built annihilator sum to zero",
-    cells=((4, 1), (4, 2), (4, 3)),
-    check=check_duality,
-    operations=("pluecker.kernel_complement", "pluecker.right_qpc"),
+    statement="coordinates of the leading-rows submatrix expand into "
+    "coordinates of the full matrix with one extra bordering column",
+    cells=((5, 1), (5, 2), (6, 1)),
+    operations=("pluecker.left_qpc",),
 )
-
-
 def check_k_step(ctx: CheckContext):
     k = 3
     n = ctx.n
@@ -1229,17 +1139,6 @@ def check_k_step(ctx: CheckContext):
     ctx.compare("row-count-step", lhs, rhs)
 
 
-_register(
-    ident="QPC-K-STEP",
-    module="pluecker",
-    statement="coordinates of the leading-rows submatrix expand into "
-    "coordinates of the full matrix with one extra bordering column",
-    cells=((5, 1), (5, 2), (6, 1)),
-    check=check_k_step,
-    operations=("pluecker.left_qpc",),
-)
-
-
 def _row_deleted_coordinate(A, alpha, j, beta):
     B = A.delete_sets([alpha], [])
     I = tuple(c for c in A.col_labels if c not in (j, beta))
@@ -1252,6 +1151,14 @@ def _col_deleted_coordinate(A, beta, alpha, i):
     return pl.right_qpc(C, alpha, i, I)
 
 
+@identity(
+    ident="QDET-EXPANSION-QPC",
+    module="pluecker",
+    statement="a quasideterminant expands through coordinates of the "
+    "pivot-row-deleted and pivot-column-deleted submatrices",
+    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("pluecker.left_qpc", "pluecker.right_qpc"),
+)
 def check_expansion_qpc(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -1271,17 +1178,16 @@ def check_expansion_qpc(ctx: CheckContext):
     ctx.compare("col-expansion", base, acc)
 
 
-_register(
-    ident="QDET-EXPANSION-QPC",
+@identity(
+    ident="HOMOLOGICAL-QPC",
     module="pluecker",
-    statement="a quasideterminant expands through coordinates of the "
-    "pivot-row-deleted and pivot-column-deleted submatrices",
-    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_expansion_qpc,
+    statement="pivot moves of a quasideterminant are coordinate "
+    "multiplications: column moves append minus a left coordinate, row "
+    "moves prepend minus a right coordinate; includes both 2x2 transport "
+    "displays",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
     operations=("pluecker.left_qpc", "pluecker.right_qpc"),
 )
-
-
 def check_homological_qpc(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -1321,19 +1227,14 @@ def check_homological_qpc(ctx: CheckContext):
         ctx.compare("round-trip-transport", lhs, qdet(A, 1, 1))
 
 
-_register(
-    ident="HOMOLOGICAL-QPC",
+@identity(
+    ident="HOMOLOGICAL-CHAIN",
     module="pluecker",
-    statement="pivot moves of a quasideterminant are coordinate "
-    "multiplications: column moves append minus a left coordinate, row "
-    "moves prepend minus a right coordinate; includes both 2x2 transport "
-    "displays",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_homological_qpc,
+    statement="iterating the pivot-move relations along any admissible "
+    "chain of row and column moves lands on the target quasideterminant",
+    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
     operations=("pluecker.left_qpc", "pluecker.right_qpc"),
 )
-
-
 def check_homological_chain(ctx: CheckContext):
     ring = ctx.ring
     A = _square(ctx)
@@ -1357,17 +1258,14 @@ def check_homological_chain(ctx: CheckContext):
     ctx.compare("chain-transport", value, qdet(A, cur_i, cur_j))
 
 
-_register(
-    ident="HOMOLOGICAL-CHAIN",
+@identity(
+    ident="INVERSE-TIMES-BLOCK",
     module="pluecker",
-    statement="iterating the pivot-move relations along any admissible "
-    "chain of row and column moves lands on the target quasideterminant",
-    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_homological_chain,
-    operations=("pluecker.left_qpc", "pluecker.right_qpc"),
+    statement="the leading block's inverse times the trailing block is "
+    "the matrix of left coordinates bordered by the other leading columns",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2)),
+    operations=("pluecker.left_qpc", "matrix.inverse"),
 )
-
-
 def check_inverse_times_block(ctx: CheckContext):
     n = ctx.n
     m = n + 2
@@ -1385,17 +1283,15 @@ def check_inverse_times_block(ctx: CheckContext):
             )
 
 
-_register(
-    ident="INVERSE-TIMES-BLOCK",
+@identity(
+    ident="PROD-QPC",
     module="pluecker",
-    statement="the leading block's inverse times the trailing block is "
-    "the matrix of left coordinates bordered by the other leading columns",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2)),
-    check=check_inverse_times_block,
-    operations=("pluecker.left_qpc", "matrix.inverse"),
+    statement="inverse quasideterminant of a product, framed by the "
+    "factors' quasideterminants, is one plus a sum of right-by-left "
+    "coordinate products (an empty sum at size one)",
+    cells=((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)),
+    operations=("pluecker.left_qpc", "pluecker.right_qpc", "qdet.qdet"),
 )
-
-
 def check_product_qpc(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -1417,18 +1313,15 @@ def check_product_qpc(ctx: CheckContext):
     ctx.compare("product-corner-identity", lhs, acc)
 
 
-_register(
-    ident="PROD-QPC",
+@identity(
+    ident="GAUSS-DECOMP",
     module="pluecker",
-    statement="inverse quasideterminant of a product, framed by the "
-    "factors' quasideterminants, is one plus a sum of right-by-left "
-    "coordinate products (an empty sum at size one)",
-    cells=((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)),
-    check=check_product_qpc,
-    operations=("pluecker.left_qpc", "pluecker.right_qpc", "qdet.qdet"),
+    statement="upper-unitriangular times diagonal times lower-"
+    "unitriangular reassembles the matrix exactly; commutatively the "
+    "diagonal holds trailing principal minor ratios",
+    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
+    operations=("pluecker.gauss_decompose",),
 )
-
-
 def check_gauss(ctx: CheckContext):
     A = _square(ctx)
     U, Y, L = pl.gauss_decompose(A)
@@ -1452,18 +1345,14 @@ def check_gauss(ctx: CheckContext):
             )
 
 
-_register(
-    ident="GAUSS-DECOMP",
+@identity(
+    ident="FLAG-COORDINATES",
     module="pluecker",
-    statement="upper-unitriangular times diagonal times lower-"
-    "unitriangular reassembles the matrix exactly; commutatively the "
-    "diagonal holds trailing principal minor ratios",
-    cells=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)),
-    check=check_gauss,
-    operations=("pluecker.gauss_decompose",),
+    statement="flag coordinates are invariant under lower-unitriangular "
+    "left factors and express left coordinates as an inverted ratio",
+    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
+    operations=("pluecker.flag_coordinate",),
 )
-
-
 def check_flag(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 4 else 3
@@ -1495,21 +1384,18 @@ def check_flag(ctx: CheckContext):
     ctx.compare("coordinate-bridge", p, ring.invert(fi) * fj)
 
 
-_register(
-    ident="FLAG-COORDINATES",
-    module="pluecker",
-    statement="flag coordinates are invariant under lower-unitriangular "
-    "left factors and express left coordinates as an inverted ratio",
-    cells=((4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_flag,
-    operations=("pluecker.flag_coordinate",),
-)
-
-
 # ---------------------------------------------------------------------------
 # symmetric-functions module
 
 
+@identity(
+    ident="VANDERMONDE-RATIO",
+    module="symmfn",
+    statement="commutatively the power-matrix quasideterminant is the "
+    "signed ratio of the alternant to its leading minor",
+    cells=((2, 1), (3, 1), (4, 1)),
+    operations=("symmfn.vandermonde",),
+)
 def check_vandermonde_ratio(ctx: CheckContext):
     xs = _independent_values(ctx, ctx.n)
     V = sf.vandermonde(ctx.ring, xs)
@@ -1522,17 +1408,14 @@ def check_vandermonde_ratio(ctx: CheckContext):
     ctx.compare("alternant-ratio", V * sub, sign * full)
 
 
-_register(
-    ident="VANDERMONDE-RATIO",
+@identity(
+    ident="BEZOUT-FACTOR",
     module="symmfn",
-    statement="commutatively the power-matrix quasideterminant is the "
-    "signed ratio of the alternant to its leading minor",
-    cells=((2, 1), (3, 1), (4, 1)),
-    check=check_vandermonde_ratio,
-    operations=("symmfn.vandermonde",),
+    statement="the extended power-matrix quasideterminant factors into "
+    "descending conjugated linear terms, at several tail values per draw",
+    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)),
+    operations=("symmfn.bezout_product", "symmfn.vandermonde"),
 )
-
-
 def check_bezout(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -1560,17 +1443,14 @@ def check_bezout(ctx: CheckContext):
             continue
 
 
-_register(
-    ident="BEZOUT-FACTOR",
+@identity(
+    ident="HAT-TRANSFORM",
     module="symmfn",
-    statement="the extended power-matrix quasideterminant factors into "
-    "descending conjugated linear terms, at several tail values per draw",
+    statement="conjugating the tail by differences from the first value "
+    "splits off one linear factor of the extended quasideterminant",
     cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)),
-    check=check_bezout,
-    operations=("symmfn.bezout_product", "symmfn.vandermonde"),
+    operations=("symmfn.hat_transform",),
 )
-
-
 def check_hat(ctx: CheckContext):
     ring = ctx.ring
     xs, z = _independent_with_z(ctx, ctx.n)
@@ -1580,17 +1460,19 @@ def check_hat(ctx: CheckContext):
     ctx.compare("difference-conjugation", lhs, rhs)
 
 
-_register(
-    ident="HAT-TRANSFORM",
+@identity(
+    ident="VIETA-COEFFS",
     module="symmfn",
-    statement="conjugating the tail by differences from the first value "
-    "splits off one linear factor of the extended quasideterminant",
-    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)),
-    check=check_hat,
-    operations=("symmfn.hat_transform",),
+    statement="the three coefficient routes (signed word sums, bordered "
+    "quasideterminant ratios, right-linear solving) agree, and the "
+    "resulting left-coefficient polynomial annihilates every root",
+    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=(
+        "symmfn.vieta_from_y",
+        "symmfn.vieta_via_qdet",
+        "symmfn.coeffs_from_roots",
+    ),
 )
-
-
 def check_vieta_agree(ctx: CheckContext):
     ring = ctx.ring
     xs = _independent_values(ctx, ctx.n)
@@ -1614,22 +1496,6 @@ def check_vieta_agree(ctx: CheckContext):
                     term *= v
                 classical += term
             ctx.compare(f"classical-elementary-{k}", lam[k - 1], classical)
-
-
-_register(
-    ident="VIETA-COEFFS",
-    module="symmfn",
-    statement="the three coefficient routes (signed word sums, bordered "
-    "quasideterminant ratios, right-linear solving) agree, and the "
-    "resulting left-coefficient polynomial annihilates every root",
-    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_vieta_agree,
-    operations=(
-        "symmfn.vieta_from_y",
-        "symmfn.vieta_via_qdet",
-        "symmfn.coeffs_from_roots",
-    ),
-)
 
 
 def _all_perms(n):
@@ -1666,38 +1532,44 @@ def check_symmetry(ctx: CheckContext, family: str):
             ctx.compare(f"perm-{perm}", permuted, base)
 
 
-_register(
+identity(
     ident="LAMBDA-SYMMETRY",
     module="symmfn",
     statement="elementary functions are invariant under every "
     "permutation of the inputs (the transformed alphabet is rebuilt "
     "from the permuted inputs)",
     cells=((2, 1), (2, 2), (3, 1), (3, 2)),
-    check=lambda ctx: check_symmetry(ctx, "lambda"),
     operations=("symmfn.elementary_lambda",),
-)
+)(lambda ctx: check_symmetry(ctx, "lambda"))
 
-_register(
+identity(
     ident="COMPLETE-SYMMETRY",
     module="symmfn",
     statement="complete functions of degree up to three are permutation "
     "invariant",
     cells=((2, 1), (2, 2), (3, 1), (3, 2)),
-    check=lambda ctx: check_symmetry(ctx, "complete"),
     operations=("symmfn.complete_s",),
-)
+)(lambda ctx: check_symmetry(ctx, "complete"))
 
-_register(
+identity(
     ident="RIBBON-SYMMETRY",
     module="symmfn",
     statement="descent-graded word sums are permutation invariant for "
     "every composition",
     cells=((2, 1), (2, 2), (3, 1), (3, 2)),
-    check=lambda ctx: check_symmetry(ctx, "ribbon"),
     operations=("symmfn.ribbon_schur",),
+)(lambda ctx: check_symmetry(ctx, "ribbon"))
+
+
+@identity(
+    ident="ASYMM-Y1Y2",
+    module="symmfn",
+    statement="the ascending product of the two transformed variables is "
+    "NOT symmetric: the suite must exhibit a swap witness",
+    cells=((2, 2),),
+    expect="counterexample",
+    operations=("symmfn.y_transform",),
 )
-
-
 def check_asym_y1y2(ctx: CheckContext):
     ring = ctx.ring
     xs = _permutation_orbit_values(ctx, 2, [(1, 2), (2, 1)])
@@ -1706,18 +1578,15 @@ def check_asym_y1y2(ctx: CheckContext):
     ctx.compare("ordered-pair-product", ys[0] * ys[1], ys_swapped[0] * ys_swapped[1])
 
 
-_register(
-    ident="ASYMM-Y1Y2",
+@identity(
+    ident="ASYMM-S2-MISORDERED",
     module="symmfn",
-    statement="the ascending product of the two transformed variables is "
+    statement="the misordered degree-two sum (middle word reversed) is "
     "NOT symmetric: the suite must exhibit a swap witness",
     cells=((2, 2),),
-    check=check_asym_y1y2,
     expect="counterexample",
     operations=("symmfn.y_transform",),
 )
-
-
 def check_asym_s2_wrong(ctx: CheckContext):
     ring = ctx.ring
     xs = _permutation_orbit_values(ctx, 2, [(1, 2), (2, 1)])
@@ -1729,18 +1598,15 @@ def check_asym_s2_wrong(ctx: CheckContext):
     ctx.compare("misordered-degree-two-sum", wrong_s2(xs), wrong_s2(xs[::-1]))
 
 
-_register(
-    ident="ASYMM-S2-MISORDERED",
+@identity(
+    ident="S-ROUTE-AGREE",
     module="symmfn",
-    statement="the misordered degree-two sum (middle word reversed) is "
-    "NOT symmetric: the suite must exhibit a swap witness",
-    cells=((2, 2),),
-    check=check_asym_s2_wrong,
-    expect="counterexample",
-    operations=("symmfn.y_transform",),
+    statement="complete functions via truncated series inversion of the "
+    "alternating elementary generating polynomial equal the "
+    "nondecreasing word sums through degree five",
+    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("symmfn.complete_s",),
 )
-
-
 def check_s_routes(ctx: CheckContext):
     ring = ctx.ring
     xs = _independent_values(ctx, ctx.n)
@@ -1751,18 +1617,17 @@ def check_s_routes(ctx: CheckContext):
         ctx.compare(f"degree-{k + 1}", s_series[k], s_words[k])
 
 
-_register(
-    ident="S-ROUTE-AGREE",
+@identity(
+    ident="RIBBON-BASIS",
     module="symmfn",
-    statement="complete functions via truncated series inversion of the "
-    "alternating elementary generating polynomial equal the "
-    "nondecreasing word sums through degree five",
-    cells=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_s_routes,
-    operations=("symmfn.complete_s",),
+    statement="at each degree the descent-graded family is linearly "
+    "independent on sampled value vectors (full rank) and every "
+    "elementary monomial solves exactly as a rational combination of it",
+    cells=((1, 2), (2, 2), (3, 2), (4, 2)),
+    samples=2,
+    profile=SampleProfile(3, 2),
+    operations=("symmfn.ribbon_from_ys", "symmfn.lambda_word_value"),
 )
-
-
 def check_ribbon_basis(ctx: CheckContext):
     ring = ctx.ring
     m = ctx.n  # degree doubles as the cell size
@@ -1792,20 +1657,15 @@ def check_ribbon_basis(ctx: CheckContext):
         ctx.require(f"expressible-{J}", rational_rank(vectors + [target]) == rank)
 
 
-_register(
-    ident="RIBBON-BASIS",
+@identity(
+    ident="DERIVATION",
     module="symmfn",
-    statement="at each degree the descent-graded family is linearly "
-    "independent on sampled value vectors (full rank) and every "
-    "elementary monomial solves exactly as a rational combination of it",
-    cells=((1, 2), (2, 2), (3, 2), (4, 2)),
-    check=check_ribbon_basis,
-    samples=2,
-    profile=SampleProfile(3, 2),
-    operations=("symmfn.ribbon_from_ys", "symmfn.lambda_word_value"),
+    statement="under a first-order uniform shift the power-matrix "
+    "quasideterminants are constant and the transformed variables move "
+    "at unit rate",
+    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("symmfn.dual_shift_ring", "symmfn.y_transform"),
 )
-
-
 def check_derivation(ctx: CheckContext):
     T = sf.dual_shift_ring(ctx.d)
     base = T.base
@@ -1825,38 +1685,32 @@ def check_derivation(ctx: CheckContext):
         ctx.compare(f"shift-coefficient-y{pos + 1}", y.coeffs[1], base.one, base)
 
 
-_register(
-    ident="DERIVATION",
-    module="symmfn",
-    statement="under a first-order uniform shift the power-matrix "
-    "quasideterminants are constant and the transformed variables move "
-    "at unit rate",
-    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_derivation,
-    operations=("symmfn.dual_shift_ring", "symmfn.y_transform"),
-)
-
-
 # ---------------------------------------------------------------------------
 # continued-fraction module
 
 
-def check_cf_nested(ctx: CheckContext):
-    A = cf.draw_almost_triangular(ctx.draw, ctx.ring, ctx.n)
-    ctx.compare("nesting-vs-quasideterminant", cf.cf_nested(A), qdet(A, 1, 1))
-
-
-_register(
+@identity(
     ident="CF-NESTED",
     module="contfrac",
     statement="the explicit bottom-up nesting of inverted trailing "
     "corner values equals the corner quasideterminant",
     cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_cf_nested,
     operations=("contfrac.cf_nested",),
 )
+def check_cf_nested(ctx: CheckContext):
+    A = cf.draw_almost_triangular(ctx.draw, ctx.ring, ctx.n)
+    ctx.compare("nesting-vs-quasideterminant", cf.cf_nested(A), qdet(A, 1, 1))
 
 
+@identity(
+    ident="CONVERGENT-ROUTES",
+    module="contfrac",
+    statement="explicit chain sums, additive recurrences and corner "
+    "quasideterminants of the normal form agree, and their ratio is the "
+    "opposite-corner quasideterminant",
+    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)),
+    operations=("contfrac.convergents_explicit", "contfrac.convergents_recurrence"),
+)
 def check_convergents(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -1872,18 +1726,15 @@ def check_convergents(ctx: CheckContext):
     ctx.compare("ratio", P * ring.invert(Q), qdet(A, 1, 1))
 
 
-_register(
-    ident="CONVERGENT-ROUTES",
+@identity(
+    ident="JACOBI-CF",
     module="contfrac",
-    statement="explicit chain sums, additive recurrences and corner "
-    "quasideterminants of the normal form agree, and their ratio is the "
-    "opposite-corner quasideterminant",
-    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)),
-    check=check_convergents,
-    operations=("contfrac.convergents_explicit", "contfrac.convergents_recurrence"),
+    statement="tridiagonal three-term recurrences match the general "
+    "ones, the ratio is the corner value, and each convergent depends "
+    "only on its leading diagonal entries",
+    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
+    operations=("contfrac.jacobi_convergents",),
 )
-
-
 def check_jacobi_cf(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -1907,18 +1758,15 @@ def check_jacobi_cf(ctx: CheckContext):
         ctx.compare("classical-tower", nested, qdet(A, 1, 1))
 
 
-_register(
-    ident="JACOBI-CF",
+@identity(
+    ident="BERENSTEIN",
     module="contfrac",
-    statement="tridiagonal three-term recurrences match the general "
-    "ones, the ratio is the corner value, and each convergent depends "
-    "only on its leading diagonal entries",
-    cells=((3, 1), (3, 2), (4, 1), (4, 2)),
-    check=check_jacobi_cf,
-    operations=("contfrac.jacobi_convergents",),
+    statement="with unipotent diagonal entries whose strict-upper "
+    "entries are their central mutually-annihilating commutators, the "
+    "numerator collapses to the descending diagonal product",
+    cells=((2, 3), (3, 3), (4, 3), (5, 3)),
+    operations=("contfrac.commutator_matrix", "contfrac.convergents_recurrence"),
 )
-
-
 def check_berenstein(ctx: CheckContext):
     M3 = SquareMatrices(3)
     n = ctx.n
@@ -1930,18 +1778,17 @@ def check_berenstein(ctx: CheckContext):
     ctx.compare("corner-form", qdet(A, 1, n), want, M3)
 
 
-_register(
-    ident="BERENSTEIN",
+@identity(
+    ident="SERIES-RATIO",
     module="contfrac",
-    statement="with unipotent diagonal entries whose strict-upper "
-    "entries are their central mutually-annihilating commutators, the "
-    "numerator collapses to the descending diagonal product",
-    cells=((2, 3), (3, 3), (4, 3), (5, 3)),
-    check=check_berenstein,
-    operations=("contfrac.commutator_matrix", "contfrac.convergents_recurrence"),
+    statement="with unit-plus-graded entries the truncations of the "
+    "infinite numerator and denominator series reproduce the corner "
+    "quasideterminant exactly in the truncated ring",
+    cells=((5, 1), (8, 2)),
+    samples=3,
+    profile=SampleProfile(3, 2),
+    operations=("contfrac.series_numerator", "contfrac.series_denominator"),
 )
-
-
 def check_series_ratio(ctx: CheckContext):
     order = 6 if ctx.d == 2 else 3
     A = cf.graded_series_matrix(ctx.draw, ctx.d, order, order + 2)
@@ -1952,20 +1799,16 @@ def check_series_ratio(ctx: CheckContext):
     ctx.compare("series-ratio", P * Qinv, lhs, T)
 
 
-_register(
-    ident="SERIES-RATIO",
+@identity(
+    ident="ROGERS-RAMANUJAN",
     module="contfrac",
-    statement="with unit-plus-graded entries the truncations of the "
-    "infinite numerator and denominator series reproduce the corner "
-    "quasideterminant exactly in the truncated ring",
-    cells=((5, 1), (8, 2)),
-    check=check_series_ratio,
-    samples=3,
-    profile=SampleProfile(3, 2),
-    operations=("contfrac.series_numerator", "contfrac.series_denominator"),
+    statement="the depth-truncated q-tower's z-coefficients equal the "
+    "closed-form ratio's coefficients as reduced rational functions of "
+    "q, stably in the truncation depth",
+    cells=((6, 1),),
+    samples=1,
+    operations=("contfrac.rr_sides",),
 )
-
-
 def check_rogers_ramanujan(ctx: CheckContext):
     order = 6
     depth = 10
@@ -1980,19 +1823,15 @@ def check_rogers_ramanujan(ctx: CheckContext):
         ctx.compare(f"depth-stability-{k}", deeper.coeffs[k], lhs.coeffs[k], base)
 
 
-_register(
-    ident="ROGERS-RAMANUJAN",
+@identity(
+    ident="ALMOST-TRIANGULAR-D",
     module="contfrac",
-    statement="the depth-truncated q-tower's z-coefficients equal the "
-    "closed-form ratio's coefficients as reduced rational functions of "
-    "q, stably in the truncation depth",
-    cells=((6, 1),),
-    check=check_rogers_ramanujan,
-    samples=1,
-    operations=("contfrac.rr_sides",),
+    statement="the interleaved product of trailing corner values and "
+    "inverted subdiagonals carries the top-right quasideterminant up to "
+    "sign, which also equals the explicit alternating chain sum",
+    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)),
+    operations=("contfrac.d_product", "contfrac.corner_alternating_sum"),
 )
-
-
 def check_almost_triangular_d(ctx: CheckContext):
     ring = ctx.ring
     n = ctx.n
@@ -2004,18 +1843,15 @@ def check_almost_triangular_d(ctx: CheckContext):
     ctx.compare("alternating-sum", cf.corner_alternating_sum(B), corner)
 
 
-_register(
-    ident="ALMOST-TRIANGULAR-D",
+@identity(
+    ident="ALMOST-TRIANGULAR-QDET",
     module="contfrac",
-    statement="the interleaved product of trailing corner values and "
-    "inverted subdiagonals carries the top-right quasideterminant up to "
-    "sign, which also equals the explicit alternating chain sum",
+    statement="every on-or-above-diagonal quasideterminant of an "
+    "almost-triangular matrix is a signed, subdiagonal-framed ratio of "
+    "leading/trailing corner products",
     cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_almost_triangular_d,
-    operations=("contfrac.d_product", "contfrac.corner_alternating_sum"),
+    operations=("contfrac.general_corner_product", "contfrac.d_product"),
 )
-
-
 def check_almost_triangular_qdet(ctx: CheckContext):
     n = ctx.n
     B = cf.draw_almost_triangular(ctx.draw, ctx.ring, n, general_subdiag=True)
@@ -2028,53 +1864,35 @@ def check_almost_triangular_qdet(ctx: CheckContext):
             )
 
 
-_register(
-    ident="ALMOST-TRIANGULAR-QDET",
-    module="contfrac",
-    statement="every on-or-above-diagonal quasideterminant of an "
-    "almost-triangular matrix is a signed, subdiagonal-framed ratio of "
-    "leading/trailing corner products",
-    cells=((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)),
-    check=check_almost_triangular_qdet,
-    operations=("contfrac.general_corner_product", "contfrac.d_product"),
-)
-
-
 # ---------------------------------------------------------------------------
 # negative controls (comparator integrity)
 
 
-def check_false_qdet_entry(ctx: CheckContext):
-    A = _square(ctx, 2)
-    ctx.compare("corner-equals-entry", qdet(A, 1, 1), A.entry(1, 1))
-
-
-_register(
+@identity(
     ident="FALSE-QDET-ENTRY",
     module="harness",
     statement="control: a 2x2 corner quasideterminant is NOT the corner "
     "entry; the comparator must find a counterexample",
     cells=((2, 1), (2, 2)),
-    check=check_false_qdet_entry,
     expect="counterexample",
     operations=("qdet.qdet",),
 )
+def check_false_qdet_entry(ctx: CheckContext):
+    A = _square(ctx, 2)
+    ctx.compare("corner-equals-entry", qdet(A, 1, 1), A.entry(1, 1))
 
 
-def check_false_commute(ctx: CheckContext):
-    ring = ctx.ring
-    x = ctx.draw.scalar(ring)
-    y = ctx.draw.scalar(ring)
-    ctx.compare("products-commute", x * y, y * x)
-
-
-_register(
+@identity(
     ident="FALSE-COMMUTE",
     module="harness",
     statement="control: matrix scalars do not commute; the comparator "
     "must find a counterexample",
     cells=((0, 2), (0, 3)),
-    check=check_false_commute,
     expect="counterexample",
     operations=("rings",),
 )
+def check_false_commute(ctx: CheckContext):
+    ring = ctx.ring
+    x = ctx.draw.scalar(ring)
+    y = ctx.draw.scalar(ring)
+    ctx.compare("products-commute", x * y, y * x)

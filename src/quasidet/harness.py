@@ -121,7 +121,7 @@ def run_identity(
     verdict = IdentityVerdict(status=VERIFIED, seed=config.seed)
     cells = desc.cells
     if config.dims:
-        cells = tuple((n, d) for (n, d) in cells if d in config.dims or d == 0)
+        cells = tuple((n, d) for (n, d) in cells if d in config.dims)
     if config.sizes:
         cells = tuple((n, d) for (n, d) in cells if n in config.sizes or n == 0)
     if not cells:
@@ -129,7 +129,7 @@ def run_identity(
         return verdict
     samples = desc.samples if desc.samples is not None else config.samples
     for (n, d) in cells:
-        ring = ring_for_dimension(max(d, 1))
+        ring = ring_for_dimension(d)
         cell = {
             "n": n,
             "d": d,
@@ -292,7 +292,7 @@ def replay_counterexample(
     draw = ReplayDraw(counterexample["draws"])
     ctx = CheckContext(
         draw=draw,
-        ring=ring_for_dimension(max(counterexample["d"], 1)),
+        ring=ring_for_dimension(counterexample["d"]),
         n=counterexample["n"],
         d=counterexample["d"],
     )

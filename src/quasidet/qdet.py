@@ -83,7 +83,9 @@ def _qdet_recursive(A, rows, cols, p, q, memo):
     sub_rows = tuple(r for r in rows if r != p)
     sub_cols = tuple(c for c in cols if c != q)
     ring = A.ring
-    acc = A.entry(p, q)
+    row_p, col_q = A.row(p), A.col(q)
+    row_pos, col_pos = A.row_labels.index, A.col_labels.index
+    acc = row_p[col_pos(q)]
     try:
         for i in sub_rows:
             for j in sub_cols:
@@ -93,7 +95,7 @@ def _qdet_recursive(A, rows, cols, p, q, memo):
                     raise DomainError(
                         "inner quasiminor not invertible", payload=(sub_rows, sub_cols, i, j)
                     )
-                acc = acc - A.entry(p, j) * inner_inv * A.entry(i, q)
+                acc = acc - row_p[col_pos(j)] * inner_inv * col_q[row_pos(i)]
     except DomainError:
         memo[key] = _UNDEF
         raise

@@ -168,7 +168,7 @@ class Rationals(ScalarRing):
             a = Fraction(a)
         if a == 0:
             return None
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)
 
     def from_int(self, m: int):
         return Fraction(m)

@@ -8,6 +8,7 @@ from quasidet.catalog import (
     IdentityDescriptor,
     catalog,
     get_identity,
+    identity,
 )
 from quasidet.harness import (
     RunConfig,
@@ -57,6 +58,30 @@ class TestCatalog:
     def test_every_descriptor_names_operations(self):
         for desc in catalog():
             assert desc.operations, desc.ident
+
+    def test_identity_decorator_returns_check_and_rejects_duplicate_ids(self):
+        before = list(CATALOG)
+        fields = dict(
+            ident="DECORATOR-PROBE",
+            module="core",
+            statement="probe",
+            cells=((1, 1),),
+            operations=("catalog.identity",),
+        )
+
+        def check(ctx):
+            pass
+
+        try:
+            assert identity(**fields)(check) is check
+            assert CATALOG[-1].ident == "DECORATOR-PROBE"
+            assert CATALOG[-1].check is check
+            registered = list(CATALOG)
+            with pytest.raises(ValueError, match="duplicate identity id RING-AXIOMS"):
+                identity(**{**fields, "ident": "RING-AXIOMS"})(check)
+            assert CATALOG == registered
+        finally:
+            CATALOG[:] = before
 
 
 class TestDeterminism:

@@ -75,7 +75,9 @@ def test_try_invert_soundness(ring, rng):
 
 def test_rational_inversion_fails_exactly_on_zero(Q):
     assert Q.try_invert(Fraction(0)) is None
-    assert Q.try_invert(Fraction(-3, 7)) == Fraction(-7, 3)
+    for a, inv in ((Fraction(-3, 7), Fraction(-7, 3)), (-4, Fraction(-1, 4)), (5, Fraction(1, 5))):
+        assert Q.try_invert(a) == inv
+        assert Q.try_invert(a).denominator > 0
     with pytest.raises(DomainError):
         Q.invert(Fraction(0))
 
