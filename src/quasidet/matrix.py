@@ -309,94 +309,39 @@ class NcMatrix:
     def inverse(self) -> "NcMatrix":
         """Exact two-sided inverse; DomainError when singular.
 
-        Strategy: flatten to one rational matrix when the ring embeds in
-        rational matrices; peel truncated series into matrix coefficients
-        and invert order by order; otherwise run one-sided elimination
-        with invertible-pivot search.
+        Over a ring with ``flat_dim`` the matrix is flattened to one int
+        matrix and inverted there.  Over truncated series it is one series
+        over the n x n matrices, M_n(R[[t]]) = M_n(R)[[t]], inverted order
+        by order by that ring's ``try_invert``.  Any other ring, and series
+        over one, has no matrix inverse: ``flatten_matrix`` raises TypeError.
         """
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
         ring = self.ring
-        if ring.flat_dim is not None:
-            return self._inverse_flat()
-        if isinstance(ring, TruncatedSeriesRing):
-            return self._inverse_series()
-        return self._inverse_elimination()
-
-    def _inverse_flat(self) -> "NcMatrix":
-        ring = self.ring
         n = self.n_rows
+        if isinstance(ring, TruncatedSeriesRing):
+            labels = tuple(range(1, n + 1))
+            T = TruncatedSeriesRing(MatrixRing(ring.base, n), ring.order)
+            coeff_rows = (
+                tuple(tuple(x.coeffs[k] for x in row) for row in self.entries)
+                for k in range(ring.order + 1)
+            )
+            coeffs = [NcMatrix._make(ring.base, r, labels, labels) for r in coeff_rows]
+            inv = T.try_invert(SeriesElement(T, coeffs))
+            if inv is None:
+                raise DomainError("matrix is singular over " + ring.name, payload=self)
+            rows = tuple(
+                tuple(
+                    SeriesElement(ring, [c.entries[i][j] for c in inv.coeffs])
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+            return NcMatrix._make(ring, rows, self.col_labels, self.row_labels)
         inv = invert_scaled(*flatten_matrix(ring, self.entries))
         if inv is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
         return unflatten_matrix(ring, *inv, n, n, self.col_labels, self.row_labels)
-
-    def _inverse_series(self) -> "NcMatrix":
-        ring: TruncatedSeriesRing = self.ring  # type: ignore[assignment]
-        base = ring.base
-        L = ring.order
-        n = self.n_rows
-        coeff_mats = [
-            NcMatrix(
-                base,
-                [[self.entries[i][j].coeffs[k] for j in range(n)] for i in range(n)],
-            )
-            for k in range(L + 1)
-        ]
-        b0 = coeff_mats[0].inverse()
-        tail = [(i, c) for i, c in enumerate(coeff_mats) if i and not c.is_zero_matrix()]
-        out = [b0]
-        for k in range(1, L + 1):
-            acc = None
-            for i, c in tail:
-                if i > k:
-                    break
-                term = c * out[k - i]
-                acc = term if acc is None else acc + term
-            out.append(NcMatrix.zero(base, n, n) if acc is None else -(b0 * acc))
-        rows = tuple(
-            tuple(
-                SeriesElement(ring, [out[k].entries[i][j] for k in range(L + 1)])
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return NcMatrix._make(ring, rows, self.col_labels, self.row_labels)
-
-    def _inverse_elimination(self) -> "NcMatrix":
-        ring = self.ring
-        n = self.n_rows
-        a = [list(row) for row in self.entries]
-        x = [
-            [ring.one if i == j else ring.zero for j in range(n)] for i in range(n)
-        ]
-        for col in range(n):
-            pivot_row, pivot_inv = None, None
-            for r in range(col, n):
-                cand = ring.try_invert(a[r][col])
-                if cand is not None:
-                    pivot_row, pivot_inv = r, cand
-                    break
-            if pivot_row is None:
-                raise DomainError(
-                    "no invertible pivot during elimination over " + ring.name,
-                    payload=self,
-                )
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            x[col], x[pivot_row] = x[pivot_row], x[col]
-            a[col] = [pivot_inv * v for v in a[col]]
-            x[col] = [pivot_inv * v for v in x[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = a[r][col]
-                if ring.is_zero(factor):
-                    continue
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                x[r] = [v - factor * w for v, w in zip(x[r], x[col])]
-        return NcMatrix._make(
-            ring, tuple(map(tuple, x)), self.col_labels, self.row_labels
-        )
 
     # -- serialization ---------------------------------------------------------
 

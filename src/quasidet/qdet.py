@@ -3,14 +3,16 @@ pivot-block reduction, linear systems and the matrix identity for a
 matrix substituted into its own characteristic expressions.
 
 Two routes compute a quasideterminant: the defining recursion over
-quasiminors (memoized; exponential blowup without memoization) and the
-minor-inverse formula a_pq - r B c through the inverse B of the deleted
-submatrix (polynomial once the ring can invert matrices).  Over a ring
-that embeds in k x k rational matrices the minor-inverse formula is the
-k x k Schur complement of the flattened minor (heredity, in its
-commutative shadow), read off one fraction-free elimination with no
-inverse built.  The routes agree wherever both are defined, which the
-test harness checks exhaustively at small sizes.
+quasiminors (memoized; exponential blowup without memoization; any
+ring) and the minor-inverse formula a_pq - r B c through the inverse B
+of the deleted submatrix (polynomial; rings with a matrix inverse).
+Over a ring that embeds in k x k rational matrices the minor-inverse
+formula is the k x k Schur complement of the flattened minor (heredity,
+in its commutative shadow), read off one fraction-free elimination with
+no inverse built.  Over truncated series B is the inverse of the minor
+as one series over matrices.  Q(q) and series over it have no matrix
+inverse, so only the recursion evaluates there beyond 1 x 1.  The routes agree wherever both
+are defined, which the test harness checks exhaustively at small sizes.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ _UNDEF = object()
 def qdet(A: NcMatrix, p, q, method: str = "auto"):
     """Quasideterminant of A at pivot row p, pivot column q.
 
-    method: "recursive" (defining recursion), "minor_inverse" (via the
-    inverse of the pivot-deleted submatrix; over a ring with ``flat_dim``
-    this is the Schur complement of the flattened minor) or "auto"
-    (minor_inverse, which every supported ring can evaluate).  Both raise
-    DomainError where the route is undefined; minor_inverse does so
-    exactly when the pivot-deleted submatrix is singular.
+    method: "recursive" (defining recursion, over every ring),
+    "minor_inverse" (via the inverse of the pivot-deleted submatrix; over
+    a ring with ``flat_dim`` this is the Schur complement of the flattened
+    minor) or "auto" (minor_inverse).  Both raise DomainError where the
+    route is undefined; minor_inverse does so exactly when the
+    pivot-deleted submatrix is singular, and raises TypeError at n >= 2
+    over a ring with no matrix inverse (Q(q) and series over it).
     """
     if not A.is_square():
         raise ValueError("quasideterminants need a square matrix")
@@ -49,10 +52,10 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
     if A.n_rows == 1:
         return A.entry(p, q)
     ring = A.ring
+    i, j = A._row_pos(p), A._col_pos(q)
+    e = A.entries
     if ring.flat_dim is not None:
         # pivot row and column last: |A|_pq is the trailing Schur complement
-        i, j = A._row_pos(p), A._col_pos(q)
-        e = A.entries
         rows = [(*r[:j], *r[j + 1 :], r[j]) for r in (*e[:i], *e[i + 1 :], e[i])]
         schur = schur_complement(*flatten_matrix(ring, rows), ring.flat_dim)
         if schur is None:
@@ -60,12 +63,14 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
                 "matrix is singular over " + ring.name, payload=A.delete_row_col(p, q)
             )
         return ring.unflatten(schur)
-    minor = A.delete_row_col(p, q)
-    B = minor.inverse()  # rows: minor's col labels, cols: minor's row labels
-    acc = A.entry(p, q)
-    for i in minor.row_labels:
-        for j in minor.col_labels:
-            acc = acc - A.entry(p, j) * B.entry(j, i) * A.entry(i, q)
+    # series: B's rows are the minor's columns, its columns the minor's rows
+    B = A.delete_row_col(p, q).inverse().entries
+    row_p = (*e[i][:j], *e[i][j + 1 :])
+    col_q = [r[j] for r in (*e[:i], *e[i + 1 :])]
+    acc = e[i][j]
+    for k, a_kq in enumerate(col_q):
+        for m, a_pm in enumerate(row_p):
+            acc = acc - a_pm * B[m][k] * a_kq
     return acc
 
 

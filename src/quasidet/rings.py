@@ -555,7 +555,10 @@ class TruncatedSeriesRing(ScalarRing):
     """Series truncated at a fixed order over an arbitrary base ring.
 
     Invertible iff the order-0 coefficient is invertible in the base
-    ring; the inverse is computed order by order and is exact.
+    ring; the inverse is computed order by order and is exact.  Over a
+    ``MatrixRing`` base it inverts matrices over series
+    (``NcMatrix.inverse``).  No ``flat_dim``: the block Toeplitz
+    embedding is exact but slower to eliminate than this recursion.
     """
 
     def __init__(self, base: ScalarRing, order: int, variable: str = "t"):

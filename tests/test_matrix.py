@@ -11,9 +11,11 @@ from quasidet.matrix import (
     matrix_times_col,
     row_times_matrix,
 )
+from quasidet.qdet import qdet
 from quasidet.rings import (
     DomainError,
     QRationalFunctions,
+    Rationals,
     SquareMatrices,
     TruncatedSeriesRing,
 )
@@ -154,16 +156,68 @@ class TestInverse:
             assert (A * B).is_identity()
             assert (B * A).is_identity()
 
-    def test_elimination_fallback_over_function_field(self, rng):
+    def test_function_field_has_no_matrix_inverse(self, rng):
+        # Q(q) embeds in no rational matrices and is no series ring: the
+        # inverse and the minor-inverse route raise TypeError, while the
+        # defining recursion still evaluates
         F = QRationalFunctions()
-        for _ in range(5):
-            A = sample_matrix(F, 3, 3, rng)
+        A = sample_matrix(F, 2, 2, rng)
+        with pytest.raises(TypeError):
+            A.inverse()
+        for n in (2, 3):
+            with pytest.raises(TypeError):
+                qdet(sample_matrix(F, n, n, rng), 1, 2, "minor_inverse")
+        (a11, a12), (a21, a22) = A.entries
+        assert not F.is_zero(a22)
+        assert qdet(A, 1, 1, "recursive") == a11 - a12 * F.invert(a22) * a21
+
+
+SERIES_BASES = [Rationals(), SquareMatrices(2), SquareMatrices(3)]
+
+
+@pytest.mark.parametrize("base", SERIES_BASES, ids=lambda b: b.name)
+class TestSeriesInverse:
+    """A matrix over R[[t]] inverts as one series over the block ring M_n(R)."""
+
+    def test_one_by_one_is_the_element_inverse(self, base, rng):
+        T = TruncatedSeriesRing(base, 3)
+        hits = 0
+        while hits < 5:
+            a = T.random_element(rng)
+            want = T.try_invert(a)
+            if want is None:
+                with pytest.raises(DomainError):
+                    NcMatrix(T, [[a]]).inverse()
+                continue
+            assert NcMatrix(T, [[a]]).inverse().entries == ((want,),)
+            hits += 1
+
+    def test_singular_constant_term_raises(self, base, rng):
+        # equal constant rows; the t and t^2 coefficients are not zero
+        T = TruncatedSeriesRing(base, 2)
+        one, zero = base.one, base.zero
+        a, b = base.random_element(rng), base.random_element(rng)
+        A = NcMatrix(
+            T,
+            [
+                [T.element([a, one]), T.element([b, zero, one])],
+                [T.element([a, zero, one]), T.element([b, one])],
+            ],
+        )
+        with pytest.raises(DomainError):
+            A.inverse()
+
+    def test_inverse_swaps_labels(self, base, rng):
+        T = TruncatedSeriesRing(base, 2)
+        while True:
+            A = sample_matrix(T, 2, 2, rng, row_labels=[7, 8], col_labels=[5, 6])
             try:
-                B = A._inverse_elimination()
+                B = A.inverse()
             except DomainError:
                 continue
-            assert (A * B).is_identity()
-            assert (B * A).is_identity()
+            break
+        assert B.row_labels == (5, 6) and B.col_labels == (7, 8)
+        assert (A * B).is_identity() and (B * A).is_identity()
 
 
 class TestVectorOps:

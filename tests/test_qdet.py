@@ -22,7 +22,7 @@ from quasidet.qdet import (
     solve_system,
     sylvester_matrix,
 )
-from quasidet.rings import DomainError, Rationals
+from quasidet.rings import DomainError, Rationals, SquareMatrices, TruncatedSeriesRing
 from quasidet.sampling import sample_matrix
 
 
@@ -64,7 +64,8 @@ class TestQdetBasics:
         assert qdet(NcMatrix(Q, [[5]]), 1, 1) == 5
 
     def test_methods_agree_random(self, rng, M2):
-        for ring in (Rationals(), M2):
+        # series: minor_inverse inverts the minor as a series over matrices
+        for ring in (Rationals(), M2, TruncatedSeriesRing(SquareMatrices(2), 2)):
             for n in (2, 3, 4):
                 hits = 0
                 while hits < 5:
