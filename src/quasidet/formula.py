@@ -1,16 +1,18 @@
 """Free rational formulas: DAG nodes, evaluation, inversion height, parser.
 
 A formula is an acyclic graph over Const / Var / Neg / Add / Mul / Inv
-nodes; subterms may be shared.  Evaluation follows the usual partial
-semantics: a value exists unless some subterm ``inv(b)`` hits a
-non-invertible value of ``b``, in which case a ``DomainError`` carrying
-that subterm is raised.
+nodes; subterms may be shared.  Each node stores its inversion height
+when it is built, so ``formula_height`` walks nothing.  Evaluation
+follows the usual partial semantics: a value exists unless some subterm
+``inv(b)`` hits a non-invertible value of ``b``, in which case a
+``DomainError`` carrying that subterm is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 from .rings import DomainError, ScalarRing
 
 
@@ -44,6 +46,7 @@ class RatFormula:
 @dataclass(frozen=True, eq=False, slots=True)
 class Const(RatFormula):
     value: Fraction
+    height: ClassVar[int] = 0
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
@@ -52,6 +55,7 @@ class Const(RatFormula):
 @dataclass(frozen=True, eq=False, slots=True)
 class Var(RatFormula):
     name: str
+    height: ClassVar[int] = 0
 
     def __post_init__(self):
         if not self.name:
@@ -61,23 +65,39 @@ class Var(RatFormula):
 @dataclass(frozen=True, eq=False, slots=True)
 class Neg(RatFormula):
     child: RatFormula
+    height: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "height", self.child.height)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Add(RatFormula):
     left: RatFormula
     right: RatFormula
+    height: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "height", max(self.left.height, self.right.height))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Mul(RatFormula):
     left: RatFormula
     right: RatFormula
+    height: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "height", max(self.left.height, self.right.height))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Inv(RatFormula):
     child: RatFormula
+    height: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "height", self.child.height + 1)
 
 
 def inv(f: RatFormula) -> RatFormula:
@@ -171,36 +191,12 @@ def evaluate(f: RatFormula, assignment: dict, ring: ScalarRing):
 
 
 def formula_height(f: RatFormula) -> int:
-    """Maximal number of nested inversions along any path."""
-    # one walk over the DAG: a node is settled once all its children are
-    heights: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if id(node) in heights:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Add or kind is Mul:
-            a, b = heights.get(id(node.left)), heights.get(id(node.right))
-            if a is None:
-                stack.append(node.left)
-            if b is None:
-                stack.append(node.right)
-            if a is None or b is None:
-                continue
-            height = a if a > b else b
-        elif kind is Neg or kind is Inv:
-            height = heights.get(id(node.child))
-            if height is None:
-                stack.append(node.child)
-                continue
-            height += kind is Inv
-        else:
-            height = 0
-        stack.pop()
-        heights[id(node)] = height
-    return heights[id(f)]
+    """Maximal number of nested inversions along any path.
+
+    Read off the root: leaves have height 0, ``Inv`` adds one to its
+    child's, and every other node takes the largest of its children's.
+    """
+    return f.height
 
 
 def to_text(f: RatFormula) -> str:
@@ -338,29 +334,36 @@ def entry_var(i: int, j: int) -> Var:
 def qdet_formula(n: int, p: int = 1, q: int = 1) -> RatFormula:
     """Formula for the (p, q) quasideterminant of an n x n generic matrix.
 
-    Built by the defining recursion with memoized shared subterms, so
-    the inversion height grows by exactly one per matrix size.  Each
-    entry is one shared ``Var`` node.
+    Built by the defining recursion with shared subterms, so the
+    inversion height grows by exactly one per matrix size.  Each entry is
+    one shared ``Var`` node, and each quasiminor is built and inverted
+    once.
     """
     labels = tuple(range(1, n + 1))
     entry = {(i, j): entry_var(i, j) for i in labels for j in labels}
-    memo: dict = {}
+    return _quasiminor(labels, labels, p, q, entry, {})
 
-    def build(rows: tuple, cols: tuple, pp: int, qq: int) -> RatFormula:
-        key = (rows, cols, pp, qq)
-        if key in memo:
-            return memo[key]
-        if len(rows) == 1:
-            memo[key] = entry[rows[0], cols[0]]
-            return memo[key]
-        sub_rows = tuple(r for r in rows if r != pp)
-        sub_cols = tuple(c for c in cols if c != qq)
-        result = entry[pp, qq]
-        for i in sub_rows:
-            for j in sub_cols:
-                minor = build(sub_rows, sub_cols, i, j)
-                result = result - entry[pp, j] * Inv(minor) * entry[i, qq]
-        memo[key] = result
-        return result
 
-    return build(labels, labels, p, q)
+def _quasiminor(rows: tuple, cols: tuple, p: int, q: int, entry: dict, inverses: dict):
+    """|A_{rows, cols}|_pq = a_pq - sum_ij a_pj |A^{pq}|_ij^-1 a_iq.
+
+    ``inverses`` maps (rows, cols, i, j) to the one ``Inv`` node of that
+    quasiminor.  It is passed down, not closed over: a recursive closure
+    is a reference cycle, which would keep the dict and every node alive
+    until the cycle collector runs.
+    """
+    if len(rows) == 1:
+        return entry[p, q]
+    sub_rows = tuple(r for r in rows if r != p)
+    sub_cols = tuple(c for c in cols if c != q)
+    terms = None
+    for i in sub_rows:
+        for j in sub_cols:
+            key = (sub_rows, sub_cols, i, j)
+            minor_inv = inverses.get(key)
+            if minor_inv is None:
+                minor = _quasiminor(sub_rows, sub_cols, i, j, entry, inverses)
+                minor_inv = inverses[key] = Inv(minor)
+            term = entry[p, j] * minor_inv * entry[i, q]
+            terms = term if terms is None else terms + term
+    return entry[p, q] - terms

@@ -29,10 +29,14 @@ def power_matrix(ring: ScalarRing, values: Sequence) -> NcMatrix:
     """Square matrix whose columns are descending powers of the values,
     with a last row of ones; column c holds values[c]^(m-1) .. 1."""
     m = len(values)
-    rows = [
-        [scalar_power(ring, v, m - r) for v in values] for r in range(1, m + 1)
-    ]
-    return NcMatrix(ring, rows, range(1, m + 1), range(1, m + 1))
+    columns = []
+    for v in values:
+        # v^0 .. v^(m-1) by successive products, one per power
+        powers = [ring.one]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * v)
+        columns.append(powers[::-1])
+    return NcMatrix(ring, list(zip(*columns)), range(1, m + 1), range(1, m + 1))
 
 
 def vandermonde(ring: ScalarRing, values: Sequence):

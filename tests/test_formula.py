@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from quasidet.harness import (
     equivalent,
     formula_identity,
     replay_counterexample,
+    run_suite,
 )
 from quasidet.rings import DomainError, Rationals, SquareMatrices
 
@@ -94,6 +97,44 @@ def test_qdet_formula_height(n):
     assert formula_height(f) == n - 1
     # one shared Var node per entry, however often the recursion uses it
     assert sum(isinstance(node, Var) for node in _postorder(f)) == n * n
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_qdet_formula_inverts_each_quasiminor_once(n):
+    invs = [node for node in _postorder(qdet_formula(n)) if isinstance(node, Inv)]
+    assert len({id(node.child) for node in invs}) == len(invs)
+
+
+def live_inv_nodes():
+    return sum(isinstance(obj, Inv) for obj in gc.get_objects())
+
+
+def test_qdet_formula_nodes_die_with_the_formula():
+    # with the cycle collector off, only reference counting frees nodes
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_inv_nodes()
+        f = qdet_formula(5)
+        assert live_inv_nodes() > before
+        del f
+        assert live_inv_nodes() == before
+    finally:
+        gc.enable()
+
+
+def test_inversion_height_check_memory_peak():
+    config = RunConfig(only=["INVERSION-HEIGHT"])
+    run_suite(config)  # imports and caches stay out of the traced run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (entry,) = run_suite(config)["identities"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry["status"] == VERIFIED
+    assert peak < 3_000_000
 
 
 def test_formula_nodes_have_no_instance_dict():
