@@ -23,6 +23,7 @@ from .rings import (
     ScalarRing,
     SquareMatrices,
     TruncatedSeriesRing,
+    poly_mul,
 )
 
 
@@ -350,8 +351,6 @@ def _q_factorial_denominator(k: int) -> QRat:
     acc = (Fraction(1),)
     for i in range(1, k + 1):
         factor = [Fraction(1)] + [Fraction(0)] * (i - 1) + [Fraction(-1)]
-        from .rings import poly_mul
-
         acc = poly_mul(acc, tuple(factor))
     return QRat(acc)
 

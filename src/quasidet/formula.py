@@ -104,10 +104,6 @@ def inv(f: RatFormula) -> RatFormula:
     return Inv(_coerce(f))
 
 
-def const(x) -> Const:
-    return Const(Fraction(x))
-
-
 def var(name: str) -> Var:
     return Var(name)
 

@@ -127,8 +127,11 @@ class NcMatrix:
         return self.select(keep_rows, keep_cols)
 
     def select(self, row_subset, col_subset) -> "NcMatrix":
-        """Submatrix with the given labels, kept in this matrix's order."""
+        """Submatrix with the given labels, kept in this matrix's order.
+        Each subset is a sized sequence; a repeated label is a ValueError."""
         rs, cs = set(row_subset), set(col_subset)
+        if len(rs) != len(row_subset) or len(cs) != len(col_subset):
+            raise ValueError("selection repeats a label")
         rows = [lab for lab in self.row_labels if lab in rs]
         cols = [lab for lab in self.col_labels if lab in cs]
         if len(rows) != len(rs) or len(cols) != len(cs):

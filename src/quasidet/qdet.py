@@ -9,10 +9,12 @@ of the deleted submatrix (polynomial; rings with a matrix inverse).
 Over a ring that embeds in k x k rational matrices the minor-inverse
 formula is the k x k Schur complement of the flattened minor (heredity,
 in its commutative shadow), read off one fraction-free elimination with
-no inverse built.  Over truncated series B is the inverse of the minor
-as one series over matrices.  Q(q) and series over it have no matrix
-inverse, so only the recursion evaluates there beyond 1 x 1.  The routes agree wherever both
-are defined, which the test harness checks exhaustively at small sizes.
+no inverse built.  Over truncated series the route is ``block_qdet``
+at the 1 x 1 pivot block: the one triple product of heredity, through
+the minor's inverse taken as one series over matrices.  Q(q) and series
+over it have no matrix inverse, so only the recursion evaluates there
+beyond 1 x 1.  The routes agree wherever both are defined, which the
+test harness checks exhaustively at small sizes.
 """
 
 from __future__ import annotations
@@ -63,15 +65,8 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
                 "matrix is singular over " + ring.name, payload=A.delete_row_col(p, q)
             )
         return ring.unflatten(schur)
-    # series: B's rows are the minor's columns, its columns the minor's rows
-    B = A.delete_row_col(p, q).inverse().entries
-    row_p = (*e[i][:j], *e[i][j + 1 :])
-    col_q = [r[j] for r in (*e[:i], *e[i + 1 :])]
-    acc = e[i][j]
-    for k, a_kq in enumerate(col_q):
-        for m, a_pm in enumerate(row_p):
-            acc = acc - a_pm * B[m][k] * a_kq
-    return acc
+    # series: the block quasideterminant at the 1 x 1 pivot block
+    return block_qdet(A, (p,), (q,)).entries[0][0]
 
 
 def _qdet_recursive(A, rows, cols, p, q, memo):
@@ -157,14 +152,8 @@ def matrix_inverse(A: NcMatrix) -> NcMatrix:
     is defined and invertible."""
     if not A.is_square():
         raise ValueError("square matrix required")
-    ring = A.ring
-    rows = []
-    for i in A.col_labels:
-        row = []
-        for j in A.row_labels:
-            row.append(ring.invert(qdet(A, j, i)))
-        rows.append(row)
-    return NcMatrix(ring, rows, A.col_labels, A.row_labels)
+    qdets = [[qdet(A, i, j) for j in A.col_labels] for i in A.row_labels]
+    return hadamard_inverse(NcMatrix(A.ring, qdets, A.row_labels, A.col_labels))
 
 
 def hadamard_inverse(A: NcMatrix) -> NcMatrix:
@@ -194,50 +183,28 @@ def heredity_qdet(
     qdet(A, *inner_pivot) whenever defined; the pivot block must be
     square.
     """
-    blocks, row_groups, col_groups = A.block_partition(row_sizes, col_sizes)
-    bp, bq = block_pivot
-    if len(row_groups[bp - 1]) != len(col_groups[bq - 1]):
+    _, row_groups, col_groups = A.block_partition(row_sizes, col_sizes)
+    rows, cols = row_groups[block_pivot[0] - 1], col_groups[block_pivot[1] - 1]
+    if len(rows) != len(cols):
         raise ValueError("pivot block must be square")
-    S = block_qdet(A, row_groups, col_groups, bp, bq)
-    return qdet(S, inner_pivot[0], inner_pivot[1])
+    return qdet(block_qdet(A, rows, cols), inner_pivot[0], inner_pivot[1])
 
 
-def block_qdet(A: NcMatrix, row_groups, col_groups, bp: int, bq: int) -> NcMatrix:
-    """Block-level quasideterminant at block (bp, bq), as a matrix.
+def block_qdet(A: NcMatrix, rows: Sequence, cols: Sequence) -> NcMatrix:
+    """Block-level quasideterminant at the pivot block on row labels
+    ``rows`` and column labels ``cols``, as a matrix.
 
-    Computed by the minor-inverse formula at block granularity: the
-    inverse of A with the pivot block row and column removed, contracted
-    against the pivot block's row and column bands.
+    With M the complement (A without those rows and columns) this is the
+    Schur complement A_PQ - A_{P,Q'} M^{-1} A_{P',Q}, one triple product
+    through the inverse of M.
     """
-    pivot_rows = row_groups[bp - 1]
-    pivot_cols = col_groups[bq - 1]
-    S = A.select(pivot_rows, pivot_cols)
-    if len(row_groups) == 1 and len(col_groups) == 1:
+    S = A.select(rows, cols)
+    if S.n_rows == A.n_rows and S.n_cols == A.n_cols:
         return S
-    M = A.delete_sets(pivot_rows, pivot_cols)
+    M = A.delete_sets(rows, cols)
     if not M.is_square():
         raise ValueError("complementary block matrix must be square")
-    B = M.inverse()
-    for i, rg in enumerate(row_groups, start=1):
-        if i == bp:
-            continue
-        for j, cg in enumerate(col_groups, start=1):
-            if j == bq:
-                continue
-            Apj = A.select(pivot_rows, cg)
-            Bji = B.select(cg, rg)
-            Aiq = A.select(rg, pivot_cols)
-            prod = (Apj * Bji) * Aiq
-            S = NcMatrix(
-                A.ring,
-                [
-                    [x - y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(S.entries, prod.entries)
-                ],
-                S.row_labels,
-                S.col_labels,
-            )
-    return S
+    return S - A.select(rows, M.col_labels) * M.inverse() * A.select(M.row_labels, cols)
 
 
 def heredity_via_block_ring(
@@ -370,21 +337,14 @@ def replace_col(A: NcMatrix, j, column: Sequence) -> NcMatrix:
 def solve_system(A: NcMatrix, rhs: Sequence, method: str = "auto") -> list:
     """Solve A x = rhs; x_i = sum_j qdet(A)_{ji}^{-1} rhs_j.
 
-    method "qdet" evaluates that sum literally; "auto" multiplies by the
-    eliminated inverse (same value by the inverse-entry identity).
+    method "qdet" multiplies by ``matrix_inverse`` (the quasideterminant
+    route); "auto" by the eliminated inverse (same value by the
+    inverse-entry identity, and defined wherever A is invertible).
     """
     if not A.is_square() or len(rhs) != A.n_rows:
         raise ValueError("square system required")
-    if method == "qdet":
-        ring = A.ring
-        out = []
-        for i in A.col_labels:
-            acc = ring.zero
-            for pos, j in enumerate(A.row_labels):
-                acc = acc + ring.invert(qdet(A, j, i)) * rhs[pos]
-            out.append(acc)
-        return out
-    return matrix_times_col(A.inverse(), list(rhs))
+    inverse = matrix_inverse(A) if method == "qdet" else A.inverse()
+    return matrix_times_col(inverse, list(rhs))
 
 
 def cramer_pair(A: NcMatrix, rhs: Sequence, i, j, x: Optional[Sequence] = None):

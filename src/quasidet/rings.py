@@ -664,24 +664,6 @@ def poly_mul(a, b):
     return _pmul(poly_trim(a), poly_trim(b))
 
 
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and poly_trim(a):
-        a = list(poly_trim(a))
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-    return poly_trim(q), poly_trim(a)
-
-
 def poly_gcd(a, b):
     """Monic gcd of two rational polynomials; () when both are zero."""
     g = _pgcd(_integral(poly_trim(a)), _integral(poly_trim(b)))

@@ -71,6 +71,13 @@ class TestSubmatrices:
         assert sub.row_labels == (1, 3)
         assert sub.col_labels == (1, 2)
 
+    def test_select_repeated_label_raises(self, A22):
+        # a repeated label must not shrink the selection silently
+        with pytest.raises(ValueError):
+            A22.select([1, 1], [2])
+        with pytest.raises(ValueError):
+            A22.select([1, 2], (2, 2))
+
     def test_unknown_labels_raise(self, A22):
         with pytest.raises(KeyError):
             A22.delete_row_col(5, 1)

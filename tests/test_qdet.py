@@ -215,6 +215,33 @@ class TestHeredity:
             assert v == qdet(A, 3, 4)
             hits += 1
 
+    @pytest.mark.parametrize(
+        "row_sizes, col_sizes, block_pivot",
+        [([1, 2, 1], [2, 1, 1], (2, 1)), ([2, 1, 2], [1, 2, 2], (3, 3))],
+    )
+    def test_unequal_three_part_compositions(
+        self, rng, M2, row_sizes, col_sizes, block_pivot
+    ):
+        # row and column compositions drawn independently; the pivot
+        # block is square, so the complement is square too
+        n = sum(row_sizes)
+        bp, bq = block_pivot
+        rows = range(sum(row_sizes[: bp - 1]) + 1, sum(row_sizes[:bp]) + 1)
+        cols = range(sum(col_sizes[: bq - 1]) + 1, sum(col_sizes[:bq]) + 1)
+        for ring in (Rationals(), M2, TruncatedSeriesRing(SquareMatrices(2), 2)):
+            hits = 0
+            while hits < 3:
+                A = sample_matrix(ring, n, n, rng)
+                i, j = rng.choice(rows), rng.choice(cols)
+                try:
+                    v = heredity_qdet(A, row_sizes, col_sizes, block_pivot, (i, j))
+                    direct = qdet(A, i, j)
+                    recursive = qdet(A, i, j, "recursive")
+                except DomainError:
+                    continue
+                assert v == direct == recursive
+                hits += 1
+
     def test_block_ring_route_agrees(self, rng, M2):
         hits = 0
         while hits < 3:
@@ -298,6 +325,15 @@ class TestLinearSystems:
         I3 = NcMatrix.identity(Q, 3)
         rhs = [Fraction(4), Fraction(-1), Fraction(2)]
         assert solve_system(I3, rhs) == rhs
+
+    def test_diagonal(self, Q):
+        # the off-diagonal quasideterminants of D are undefined, so the
+        # qdet route raises; the eliminated inverse still solves
+        D = NcMatrix(Q, [[2, 0], [0, 3]])
+        rhs = [Fraction(4), Fraction(1)]
+        with pytest.raises(DomainError):
+            solve_system(D, rhs, "qdet")
+        assert solve_system(D, rhs) == [Fraction(2), Fraction(1, 3)]
 
     def test_frozen_example(self, A22):
         x = solve_system(A22, [Fraction(1), Fraction(0)], "qdet")
