@@ -238,26 +238,23 @@ def series_numerator(A: NcMatrix):
     """Truncation of the infinite numerator series: terms over rows
     r = 1..size, chains bounded strictly below r-1, each closed by the
     descending inverse tail of the leading diagonal."""
-    ring = A.ring
-    n = A.n_rows
-    acc = ring.zero
-    inv_tail = ring.one
-    for r in range(1, n + 1):
-        inv_tail = ring.invert(A.entry(r, r)) * inv_tail
-        term = chain_sum(A, 1, range(1, r - 1), r)
-        acc = acc + term * inv_tail
-    return acc
+    return _series_sum(A, 1)
 
 
 def series_denominator(A: NcMatrix):
+    """The numerator series with every chain starting at row 2."""
+    return _series_sum(A, 2)
+
+
+def _series_sum(A: NcMatrix, first_row: int):
     ring = A.ring
-    n = A.n_rows
     acc = ring.zero
-    inv_tail = ring.invert(A.entry(1, 1))
-    for r in range(2, n + 1):
+    inv_tail = ring.one
+    for r in range(1, A.n_rows + 1):
         inv_tail = ring.invert(A.entry(r, r)) * inv_tail
-        term = chain_sum(A, 2, range(2, r - 1), r)
-        acc = acc + term * inv_tail
+        if r >= first_row:
+            term = chain_sum(A, first_row, range(first_row, r - 1), r)
+            acc = acc + term * inv_tail
     return acc
 
 

@@ -6,6 +6,10 @@ when it is built, so ``formula_height`` walks nothing.  Evaluation
 follows the usual partial semantics: a value exists unless some subterm
 ``inv(b)`` hits a non-invertible value of ``b``, in which case a
 ``DomainError`` carrying that subterm is raised.
+
+The nodes also form a ring, ``FormulaRing``, in which every element has
+an inverse.  ``qdet_formula`` is ``qdet``'s own recursion run over it:
+the recursion that evaluates quasideterminants builds their formulas.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
+from .matrix import NcMatrix
+from .qdet import qdet
 from .rings import DomainError, ScalarRing
 
 
@@ -320,7 +326,18 @@ def parse(text: str) -> RatFormula:
 
 
 # ---------------------------------------------------------------------------
-# the corner quasideterminant as a formula (shared-subterm recursion)
+# the quasideterminant as a formula: qdet's recursion over formula nodes
+
+
+class FormulaRing(ScalarRing):
+    """Formula nodes as scalars: the node operators are the arithmetic,
+    and every element has the inverse ``Inv(a)``.  Only what ``qdet``'s
+    recursion calls is defined."""
+
+    name = "formulas"
+
+    def try_invert(self, a):
+        return Inv(a)
 
 
 def entry_var(i: int, j: int) -> Var:
@@ -330,36 +347,10 @@ def entry_var(i: int, j: int) -> Var:
 def qdet_formula(n: int, p: int = 1, q: int = 1) -> RatFormula:
     """Formula for the (p, q) quasideterminant of an n x n generic matrix.
 
-    Built by the defining recursion with shared subterms, so the
-    inversion height grows by exactly one per matrix size.  Each entry is
+    ``qdet``'s defining recursion run over ``FormulaRing``: each entry is
     one shared ``Var`` node, and each quasiminor is built and inverted
-    once.
+    once, so the inversion height grows by exactly one per matrix size.
     """
-    labels = tuple(range(1, n + 1))
-    entry = {(i, j): entry_var(i, j) for i in labels for j in labels}
-    return _quasiminor(labels, labels, p, q, entry, {})
-
-
-def _quasiminor(rows: tuple, cols: tuple, p: int, q: int, entry: dict, inverses: dict):
-    """|A_{rows, cols}|_pq = a_pq - sum_ij a_pj |A^{pq}|_ij^-1 a_iq.
-
-    ``inverses`` maps (rows, cols, i, j) to the one ``Inv`` node of that
-    quasiminor.  It is passed down, not closed over: a recursive closure
-    is a reference cycle, which would keep the dict and every node alive
-    until the cycle collector runs.
-    """
-    if len(rows) == 1:
-        return entry[p, q]
-    sub_rows = tuple(r for r in rows if r != p)
-    sub_cols = tuple(c for c in cols if c != q)
-    terms = None
-    for i in sub_rows:
-        for j in sub_cols:
-            key = (sub_rows, sub_cols, i, j)
-            minor_inv = inverses.get(key)
-            if minor_inv is None:
-                minor = _quasiminor(sub_rows, sub_cols, i, j, entry, inverses)
-                minor_inv = inverses[key] = Inv(minor)
-            term = entry[p, j] * minor_inv * entry[i, q]
-            terms = term if terms is None else terms + term
-    return entry[p, q] - terms
+    labels = range(1, n + 1)
+    A = NcMatrix(FormulaRing(), [[entry_var(i, j) for j in labels] for i in labels])
+    return qdet(A, p, q, "recursive")

@@ -4,7 +4,9 @@ Rows and columns carry persistent 1-based labels; deletion and selection
 preserve the original labels and their order, which is what makes the
 index bookkeeping of quasideterminant identities mechanical.  Inversion
 swaps the label sets (the inverse of a matrix with rows I and columns J
-has rows J and columns I).
+has rows J and columns I).  A product pairs the left factor's column
+labels with the right factor's row labels, and a sum pairs labels too:
+each raises ValueError unless they are equal.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ class NcMatrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "NcMatrix") -> "NcMatrix":
-        if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
-            raise ValueError("shape mismatch")
+        if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
+            raise ValueError("sum of matrices with different labels")
         return NcMatrix._make(
             self.ring,
             tuple(
@@ -248,8 +250,8 @@ class NcMatrix:
         )
 
     def __mul__(self, other: "NcMatrix") -> "NcMatrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("shape mismatch in product")
+        if self.col_labels != other.row_labels:
+            raise ValueError("product needs left column labels equal to right row labels")
         ring = self.ring
         is_zero = ring.is_zero
         # the nonzero entries of each column, by row position

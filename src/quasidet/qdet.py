@@ -3,9 +3,11 @@ pivot-block reduction, linear systems and the matrix identity for a
 matrix substituted into its own characteristic expressions.
 
 Two routes compute a quasideterminant: the defining recursion over
-quasiminors (memoized; exponential blowup without memoization; any
-ring) and the minor-inverse formula a_pq - r B c through the inverse B
-of the deleted submatrix (polynomial; rings with a matrix inverse).
+quasiminors (any ring; each quasiminor built and inverted once, still
+exponential in n) and the minor-inverse formula a_pq - r B c through
+the inverse B of the deleted submatrix (polynomial; rings with a matrix
+inverse).  The one recursion both evaluates quasideterminants and,
+over the ring of formulas in ``formula``, builds their formulas.
 Over a ring that embeds in k x k rational matrices the minor-inverse
 formula is the k x k Schur complement of the flattened minor (heredity,
 in its commutative shadow), read off one fraction-free elimination with
@@ -25,8 +27,6 @@ from typing import Iterable, Optional, Sequence
 from .exactlin import schur_complement
 from .matrix import MatrixRing, NcMatrix, flatten_matrix, matrix_times_col
 from .rings import DomainError
-
-_UNDEF = object()
 
 
 def qdet(A: NcMatrix, p, q, method: str = "auto"):
@@ -69,38 +69,36 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
     return block_qdet(A, (p,), (q,)).entries[0][0]
 
 
-def _qdet_recursive(A, rows, cols, p, q, memo):
-    key = (rows, cols, p, q)
-    if key in memo:
-        val = memo[key]
-        if val is _UNDEF:
-            raise DomainError("inner quasiminor undefined", payload=key)
-        return val
+def _qdet_recursive(A, rows, cols, p, q, inverses):
+    """|A_{rows, cols}|_pq = a_pq - sum_ij a_pj |A^{pq}|_ij^-1 a_iq.
+
+    ``inverses`` maps (rows, cols, i, j) to the inverse of that
+    quasiminor, which is all a parent uses, so each quasiminor is built
+    and inverted once.  It is passed down, not closed over: a recursive
+    closure is a reference cycle, which would keep the dict and every
+    value alive until the cycle collector runs.
+    """
     if len(rows) == 1:
-        val = A.entry(p, q)
-        memo[key] = val
-        return val
+        return A.entry(p, q)
     sub_rows = tuple(r for r in rows if r != p)
     sub_cols = tuple(c for c in cols if c != q)
-    ring = A.ring
-    row_p, col_q = A.row(p), A.col(q)
+    ring, e = A.ring, A.entries
     row_pos, col_pos = A.row_labels.index, A.col_labels.index
-    acc = row_p[col_pos(q)]
-    try:
-        for i in sub_rows:
-            for j in sub_cols:
-                inner = _qdet_recursive(A, sub_rows, sub_cols, i, j, memo)
-                inner_inv = ring.try_invert(inner)
-                if inner_inv is None:
-                    raise DomainError(
-                        "inner quasiminor not invertible", payload=(sub_rows, sub_cols, i, j)
-                    )
-                acc = acc - row_p[col_pos(j)] * inner_inv * col_q[row_pos(i)]
-    except DomainError:
-        memo[key] = _UNDEF
-        raise
-    memo[key] = acc
-    return acc
+    row_p, q_pos = e[row_pos(p)], col_pos(q)
+    terms = None
+    for i in sub_rows:
+        for j in sub_cols:
+            key = (sub_rows, sub_cols, i, j)
+            minor_inv = inverses.get(key)
+            if minor_inv is None:
+                minor = _qdet_recursive(A, sub_rows, sub_cols, i, j, inverses)
+                minor_inv = ring.try_invert(minor)
+                if minor_inv is None:
+                    raise DomainError("inner quasiminor not invertible", payload=key)
+                inverses[key] = minor_inv
+            term = row_p[col_pos(j)] * minor_inv * e[row_pos(i)][q_pos]
+            terms = term if terms is None else terms + term
+    return row_p[q_pos] - terms
 
 
 def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
@@ -343,6 +341,8 @@ def solve_system(A: NcMatrix, rhs: Sequence, method: str = "auto") -> list:
     """
     if not A.is_square() or len(rhs) != A.n_rows:
         raise ValueError("square system required")
+    if method not in ("auto", "qdet"):
+        raise ValueError(f"unknown method {method!r}")
     inverse = matrix_inverse(A) if method == "qdet" else A.inverse()
     return matrix_times_col(inverse, list(rhs))
 

@@ -28,15 +28,7 @@ def scalar_power(ring: ScalarRing, x, k: int):
 def power_matrix(ring: ScalarRing, values: Sequence) -> NcMatrix:
     """Square matrix whose columns are descending powers of the values,
     with a last row of ones; column c holds values[c]^(m-1) .. 1."""
-    m = len(values)
-    columns = []
-    for v in values:
-        # v^0 .. v^(m-1) by successive products, one per power
-        powers = [ring.one]
-        for _ in range(m - 1):
-            powers.append(powers[-1] * v)
-        columns.append(powers[::-1])
-    return NcMatrix(ring, list(zip(*columns)), range(1, m + 1), range(1, m + 1))
+    return _power_rows(ring, values, range(len(values) - 1, -1, -1))
 
 
 def vandermonde(ring: ScalarRing, values: Sequence):
@@ -136,22 +128,27 @@ class CentralPoly:
         return isinstance(other, CentralPoly) and self.coeffs == other.coeffs
 
 
-def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
-    """Coefficients a_1..a_n as signed descending-index sums of y words:
-    a_k = (-1)^k sum over i_1 < ... < i_k of y_{i_k} ... y_{i_1}."""
-    n = len(ys)
-    coeffs = []
-    for k in range(1, n + 1):
+def _elementary_sums(ring: ScalarRing, ys: Sequence, up_to: int) -> list:
+    """Lambda_1..Lambda_up_to over ys: Lambda_k is the sum over
+    i_1 < ... < i_k of the descending word y_{i_k} ... y_{i_1}, zero for
+    k > len(ys)."""
+    sums = []
+    for k in range(1, up_to + 1):
         acc = ring.zero
-        for combo in combinations(range(n), k):
+        for combo in combinations(range(len(ys)), k):
             word = ring.one
             for idx in reversed(combo):
                 word = word * ys[idx]
             acc = acc + word
-        if k % 2:
-            acc = -acc
-        coeffs.append(acc)
-    return coeffs
+        sums.append(acc)
+    return sums
+
+
+def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
+    """Coefficients a_1..a_n as signed descending-index sums of y words:
+    a_k = (-1)^k Lambda_k(ys)."""
+    lams = _elementary_sums(ring, ys, len(ys))
+    return [-lam if k % 2 else lam for k, lam in enumerate(lams, start=1)]
 
 
 def vieta_via_qdet(ring: ScalarRing, xs: Sequence) -> list:
@@ -160,7 +157,7 @@ def vieta_via_qdet(ring: ScalarRing, xs: Sequence) -> list:
     |rows n-1..0|_{kn}^{-1}."""
     n = len(xs)
     coeffs = []
-    denom_matrix = _power_rows(ring, xs, list(range(n - 1, -1, -1)))
+    denom_matrix = power_matrix(ring, xs)
     for k in range(1, n + 1):
         num_powers = [p for p in range(n, -1, -1) if p != n - k]
         num_matrix = _power_rows(ring, xs, num_powers)
@@ -171,7 +168,15 @@ def vieta_via_qdet(ring: ScalarRing, xs: Sequence) -> list:
 
 
 def _power_rows(ring, values, powers) -> NcMatrix:
-    rows = [[scalar_power(ring, v, p) for v in values] for p in powers]
+    """Row r holds every value to the power powers[r]; each value's
+    powers are made by successive products from one, one per power."""
+    columns = []
+    for v in values:
+        col = [ring.one]
+        for _ in range(max(powers)):
+            col.append(col[-1] * v)
+        columns.append(col)
+    rows = [[col[p] for col in columns] for p in powers]
     return NcMatrix(ring, rows, range(1, len(powers) + 1), range(1, len(values) + 1))
 
 
@@ -181,7 +186,7 @@ def coeffs_from_roots(ring: ScalarRing, xs: Sequence) -> list:
     from .matrix import row_times_matrix
 
     n = len(xs)
-    W = _power_rows(ring, xs, list(range(n - 1, -1, -1)))
+    W = power_matrix(ring, xs)
     rhs = [-scalar_power(ring, x, n) for x in xs]
     Winv = W.inverse()
     return row_times_matrix(rhs, Winv)
@@ -193,11 +198,7 @@ def annihilation_poly(ring: ScalarRing, coeffs: Sequence) -> CentralPoly:
 
 def elementary_lambda(ring: ScalarRing, xs: Sequence) -> list:
     """Unsigned descending word sums over the transformed alphabet."""
-    ys = y_transform(ring, xs)
-    out = []
-    for k, a in enumerate(vieta_from_y(ring, ys), start=1):
-        out.append(-a if k % 2 else a)
-    return out
+    return _elementary_sums(ring, y_transform(ring, xs), len(xs))
 
 
 def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series") -> list:
@@ -290,16 +291,12 @@ def ribbon_from_ys(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
 
 def lambda_word_value(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
     """Value of the product Lambda_{j_1} ... Lambda_{j_k} over given ys."""
-    n = len(ys)
+    if any(part < 1 for part in J):
+        raise ValueError("composition parts must be positive")
+    lams = _elementary_sums(ring, ys, max(J, default=0))
     acc = ring.one
     for part in J:
-        lam = ring.zero
-        for combo in combinations(range(n), part):
-            word = ring.one
-            for idx in reversed(combo):
-                word = word * ys[idx]
-            lam = lam + word
-        acc = acc * lam
+        acc = acc * lams[part - 1]
     return acc
 
 

@@ -8,6 +8,8 @@ line (run with -s or -rP to see the lines alongside the test names).
 """
 
 import copy
+import hashlib
+import json
 
 import pytest
 
@@ -238,6 +240,21 @@ def test_criterion_8_harness_integrity(full_report, tmp_path):
         f"byte-determinism of verdicts, {len(replays)} counterexamples "
         "replayed bit-exactly, negative controls yield counterexamples",
         ok,
+    )
+
+
+# sha256 of the default-seed report without its timing, as JSON with
+# sorted keys; a change to any verdict, cell, draw or counterexample moves it
+DEFAULT_REPORT_SHA256 = "05eb4d8172cbf61bfbfb7b8ac979dfeabc87fded23418a95ca3e668c84d44324"
+
+
+def test_criterion_9_default_report_is_pinned(full_report):
+    report = {k: v for k, v in full_report.items() if k != "elapsed_s"}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    _announce(
+        9,
+        f"default-seed report byte-identical to the pinned one (sha256 {digest[:8]})",
+        digest == DEFAULT_REPORT_SHA256,
     )
 
 

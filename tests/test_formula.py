@@ -36,7 +36,9 @@ from quasidet.harness import (
     replay_counterexample,
     run_suite,
 )
+from quasidet.qdet import qdet
 from quasidet.rings import DomainError, Rationals, SquareMatrices
+from quasidet.sampling import sample_matrix
 
 
 def test_never_defined_inverse_raises():
@@ -152,6 +154,27 @@ def test_qdet_formula_evaluates_like_direct_arithmetic():
         "a_2_2": Fraction(4),
     }
     assert evaluate(f, sigma, Rationals()) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_qdet_formula_evaluates_like_qdet_at_every_pivot(n, rng):
+    labels = range(1, n + 1)
+    for ring in (Rationals(), SquareMatrices(2)):
+        while True:
+            A = sample_matrix(ring, n, n, rng)
+            sigma = {f"a_{i}_{j}": A.entry(i, j) for i in labels for j in labels}
+            try:
+                values = {
+                    (p, q): evaluate(qdet_formula(n, p, q), sigma, ring)
+                    for p in labels
+                    for q in labels
+                }
+            except DomainError:
+                continue
+            break
+        for (p, q), value in values.items():
+            assert value == qdet(A, p, q, "recursive")
+            assert value == qdet(A, p, q, "minor_inverse")
 
 
 class TestParser:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import quasidet.catalog as catalog_module
 from quasidet.catalog import (
     CATALOG,
     IdentityDescriptor,
@@ -20,6 +21,8 @@ from quasidet.harness import (
     run_suite,
     write_report,
 )
+from quasidet.matrix import MatrixRing, NcMatrix
+from quasidet.rings import SquareMatrices, ring_from_spec
 
 FAST = RunConfig(seed=0xC0FFEE, samples=3)
 
@@ -239,6 +242,30 @@ class TestErrorIsolation:
         write_report(report, str(path))
         with pytest.raises(ZeroDivisionError, match="planted fault"):
             replay_from_report(load_report(str(path)), "QDET-DEF-AGREE")
+
+
+class TestMatrixComparisons:
+    def test_counterexample_stores_the_compared_matrices(self, monkeypatch):
+        real = catalog_module.hadamard_inverse
+
+        def planted(A):
+            # one added to every entry: no longer an involution
+            H = real(A)
+            shifted = [[x + A.ring.one for x in row] for row in H.entries]
+            return NcMatrix(A.ring, shifted, H.row_labels, H.col_labels)
+
+        monkeypatch.setattr(catalog_module, "hadamard_inverse", planted)
+        verdict = run_identity(get_identity("HADAMARD-INVOLUTION"), RunConfig(samples=1, dims=[2]))
+        assert verdict.status == "counterexample"
+        record = json.loads(json.dumps(verdict.counterexample))
+        assert record["label"] == "involution"
+        R = ring_from_spec(record["ring"])
+        assert isinstance(R, MatrixRing) and R.n == record["n"]
+        assert R.base.spec() == SquareMatrices(2).spec()
+        # rhs is the drawn matrix, lhs the planted map applied to it twice
+        A, HH = R.deserialize(record["rhs"]), R.deserialize(record["lhs"])
+        assert HH == planted(planted(A)) and HH != A
+        assert replay_counterexample(record)["reproduced"]
 
 
 class TestRunSemantics:

@@ -126,6 +126,26 @@ class TestRowColOps:
         assert C.entry(2, 1) == A.entry(2, 1) * lam
 
 
+class TestArithmeticLabels:
+    def test_product_needs_inner_labels_to_match(self, A33):
+        left = A33.select([1, 2], [1, 2])
+        right = A33.select([2, 3], [1, 2, 3])
+        with pytest.raises(ValueError, match="labels"):
+            left * right
+        product = left * A33.select([1, 2], [3])
+        assert (product.row_labels, product.col_labels) == ((1, 2), (3,))
+
+    def test_sum_needs_equal_labels(self, A33):
+        a = A33.select([1, 2], [1, 2])
+        b = A33.select([2, 3], [1, 2])
+        with pytest.raises(ValueError, match="labels"):
+            a + b
+        with pytest.raises(ValueError, match="labels"):
+            a - b
+        with pytest.raises(ValueError, match="labels"):
+            a + A33.select([1, 2], [2, 3])
+
+
 class TestInverse:
     def test_rational_example(self, A22):
         B = A22.inverse()

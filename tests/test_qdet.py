@@ -4,6 +4,7 @@ import pytest
 
 from oracles import det_leibniz, rank_by_minors
 
+from quasidet.formula import Inv, _postorder, qdet_formula
 from quasidet.matrix import NcMatrix
 from quasidet.qdet import (
     cayley_hamilton,
@@ -85,6 +86,24 @@ class TestQdetBasics:
         A = NcMatrix(Q, [[1, 1], [1, 0]])
         with pytest.raises(DomainError):
             qdet(A, 1, 1, "recursive")
+
+    @pytest.mark.parametrize("n, inversions", [(4, 54), (5, 320)])
+    def test_recursive_route_inverts_each_quasiminor_once(self, n, inversions):
+        class CountingRationals(Rationals):
+            calls = 0
+
+            def try_invert(self, a):
+                self.calls += 1
+                return super().try_invert(a)
+
+        ring = CountingRationals()
+        # the Hilbert matrix is totally positive: every quasiminor is defined
+        hilbert = [[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        qdet(NcMatrix(ring, hilbert), 1, 1, "recursive")
+        assert ring.calls == inversions
+        # one Inv node per distinct quasiminor in the formula too
+        formula_invs = sum(isinstance(node, Inv) for node in _postorder(qdet_formula(n)))
+        assert formula_invs == inversions
 
 
 class TestExpansion:
@@ -338,6 +357,10 @@ class TestLinearSystems:
     def test_frozen_example(self, A22):
         x = solve_system(A22, [Fraction(1), Fraction(0)], "qdet")
         assert x == [Fraction(-2), Fraction(3, 2)]
+
+    def test_unknown_method_raises(self, A22):
+        with pytest.raises(ValueError, match="unknown method"):
+            solve_system(A22, [Fraction(1), Fraction(0)], "qdte")
 
     def test_residual_matrix_scalars(self, rng, M2):
         hits = 0
