@@ -17,7 +17,7 @@ from typing import Sequence
 
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
-from .exactlin import _integer_rows, invert_rational, invert_scaled
+from .exactlin import invert_rational, invert_scaled
 from .rings import DomainError, Rationals, ScalarRing, TruncatedSeriesRing, SeriesElement
 
 
@@ -381,10 +381,14 @@ def flatten_matrix(ring, rows):
     k = ring.flat_dim
     if k is None:
         raise TypeError(f"{ring.name} has no rational embedding")
-    if isinstance(ring, Rationals):
-        # k = 1: each Fraction is its own numerator over its denominator
-        return _integer_rows(rows)
     num, scales = [], []
+    if isinstance(ring, Rationals):
+        # k = 1: each Rat is its own numerator over its denominator
+        for row in rows:
+            scale = lcm(*[x._denominator for x in row])
+            num.append([x._numerator * (scale // x._denominator) for x in row])
+            scales.append(scale)
+        return num, scales
     for row in rows:
         blocks = [ring.flatten(x) for x in row]
         scale = lcm(*(den for _, den in blocks))
@@ -541,6 +545,13 @@ class MatrixRing(ScalarRing):
         )
 
     def serialize(self, a: NcMatrix):
+        # only the entries are written, so labels must be the canonical ones
+        labels = tuple(range(1, self.n + 1))
+        if a.row_labels != labels or a.col_labels != labels:
+            raise ValueError(
+                f"{self.name} serializes only labels {labels}; got rows "
+                f"{a.row_labels} and columns {a.col_labels}"
+            )
         return [[self.base.serialize(x) for x in row] for row in a.entries]
 
     def deserialize(self, obj):

@@ -4,7 +4,8 @@ Every ring element is immutable and all arithmetic is exact; no floating
 point enters any code path.  A ring object knows how to build, compare,
 invert (partially), sample and serialize its elements.  Concrete rings:
 
-* ``Rationals``            -- arbitrary-precision rationals (``Fraction``),
+* ``Rationals``            -- arbitrary-precision rationals (``Rat``, a
+                              ``Fraction`` with direct int arithmetic),
 * ``SquareMatrices(d)``    -- d x d rational matrices,
 * ``TruncatedSeriesRing``  -- truncated power series in a central variable
                               with coefficients from any base ring,
@@ -41,6 +42,108 @@ class DomainError(Exception):
 
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
+
+
+class Rat(Fraction):
+    """The rationals' element type: a ``Fraction`` whose ``+``, ``-``, ``*``
+    and unary ``-`` run straight on its two int fields.
+
+    Against a ``Rat``, a ``Fraction`` or an ``int`` (by exact type) each
+    result is computed by the lowest-terms formulas of ``Fraction._add``,
+    ``_sub`` and ``_mul`` (Knuth, TAOCP 2, 4.5.1) and built by ``_rat``,
+    without ``Fraction``'s operator dispatch or its constructor.  Any other
+    operand goes to ``Fraction``'s own method.  Equality, hashing, ordering
+    and ``str`` are ``Fraction``'s, and so is ``repr``, so a ``Rat`` prints
+    as the ``Fraction`` it equals.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        tb = type(b)
+        if tb is Rat or tb is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        tb = type(b)
+        if tb is Rat or tb is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if tb is int:
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        # a - b, with a the left operand
+        ta = type(a)
+        if ta is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if ta is int:
+            return _rat(a * b._denominator - b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is Rat or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__mul__(a, b)
+        na, da = a._numerator, a._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _rat(na * nb, db * da)
+
+    __rmul__ = __mul__
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+def _sum(na, da, nb, db) -> Rat:
+    """na/da + nb/db for two fractions in lowest terms, by ``Fraction._add``."""
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _rat(n: int, d: int) -> Rat:
+    """A Rat from ints already in lowest terms with ``d > 0``."""
+    x = object.__new__(Rat)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _ratio(n: int, d: int) -> Rat:
+    """The Rat n/d for ints with ``d != 0``, reduced by one gcd."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _rat(n // g, d // g)
+
+
+_ZERO, _ONE = _rat(0, 1), _rat(1, 1)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -137,10 +240,10 @@ class SampleProfile:
         self.max_num = max_num
         self.max_den = max_den
 
-    def draw_fraction(self, rng) -> Fraction:
+    def draw_fraction(self, rng) -> Rat:
         num = rng.randint(-self.max_num, self.max_num)
         den = rng.randint(1, self.max_den)
-        return Fraction(num, den)
+        return _ratio(num, den)
 
 
 DEFAULT_PROFILE = SampleProfile()
@@ -154,27 +257,28 @@ class Rationals(ScalarRing):
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def is_zero(self, a) -> bool:
         return not a
 
     def try_invert(self, a):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if a == 0:
+        if type(a) is not Rat:
+            a = Rat(a)
+        n, d = a._numerator, a._denominator
+        if not n:
             return None
-        return Fraction(a.denominator, a.numerator)
+        return _rat(d, n) if n > 0 else _rat(-d, -n)
 
     def from_int(self, m: int):
-        return Fraction(m)
+        return Rat(m)
 
     def coerce(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        return x if type(x) is Rat else Rat(x)
 
     def random_element(self, rng, profile=None):
         return (profile or DEFAULT_PROFILE).draw_fraction(rng)
@@ -183,7 +287,7 @@ class Rationals(ScalarRing):
         return format_fraction(a)
 
     def deserialize(self, obj):
-        return _parse_fraction(obj)
+        return Rat(obj)
 
     def spec(self):
         return {"kind": "rationals"}
@@ -193,7 +297,7 @@ class Rationals(ScalarRing):
 
     def unflatten(self, block):
         num, den = block
-        return Fraction(num[0][0], den)
+        return _ratio(num[0][0], den)
 
 
 class MatScalar:

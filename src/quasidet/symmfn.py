@@ -274,14 +274,35 @@ def ribbon_schur(ring: ScalarRing, xs: Sequence, J: Sequence[int]) -> object:
     return ribbon_from_ys(ring, ys, J)
 
 
-def ribbon_from_ys(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
+def _ribbon_words(n: int, J: Sequence[int]):
+    """The words over range(n) whose descent set is exactly that of J, in
+    lexicographic order: each block of J is a nondecreasing run, with a
+    strict descent at each block boundary."""
     m = sum(J)
-    want = composition_descents(J)
-    n = len(ys)
+    descents = composition_descents(J)
+    word = []
+
+    def extend(pos):
+        if pos == m:
+            yield tuple(word)
+            return
+        if not word:
+            letters = range(n)
+        elif pos in descents:
+            letters = range(word[-1])
+        else:
+            letters = range(word[-1], n)
+        for c in letters:
+            word.append(c)
+            yield from extend(pos + 1)
+            word.pop()
+
+    return extend(0)
+
+
+def ribbon_from_ys(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
     acc = ring.zero
-    for word in iter_product(range(n), repeat=m):
-        if descent_set(word) != want:
-            continue
+    for word in _ribbon_words(len(ys), J):
         term = ring.one
         for idx in word:
             term = term * ys[idx]

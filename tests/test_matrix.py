@@ -15,6 +15,7 @@ from quasidet.qdet import qdet
 from quasidet.rings import (
     DomainError,
     QRationalFunctions,
+    Rat,
     Rationals,
     SquareMatrices,
     TruncatedSeriesRing,
@@ -35,7 +36,7 @@ def A33(Q):
 class TestConstruction:
     def test_public_constructor_coerces_and_checks(self, Q):
         A = NcMatrix(Q, [[1, 2]])
-        assert all(type(x) is Fraction for x in A.entries[0])
+        assert all(type(x) is Rat for x in A.entries[0])
         assert A.entries == ((Fraction(1), Fraction(2)),)
         with pytest.raises(ValueError, match="ragged"):
             NcMatrix(Q, [[1, 2], [3]])
@@ -46,7 +47,7 @@ class TestConstruction:
 
     def test_derived_matrices_hold_canonical_entries(self, A22, Q):
         for B in (A22 * A22, A22 + A22, -A22, A22.select([2], [1, 2]), A22.inverse()):
-            assert all(type(x) is Fraction for row in B.entries for x in row)
+            assert all(type(x) is Rat for row in B.entries for x in row)
             assert type(B.entries) is tuple and all(type(r) is tuple for r in B.entries)
             assert B == NcMatrix(Q, B.entries, B.row_labels, B.col_labels)
 
@@ -312,3 +313,32 @@ class TestMatrixRing:
         R = MatrixRing(M2, 2)
         a = R.random_element(rng)
         assert R.unflatten(R.flatten(a)) == a
+
+    def test_serialize_refuses_noncanonical_labels(self, Q):
+        # equals sees labels, the entries-only serialization would not
+        R = MatrixRing(Q, 2)
+        a = NcMatrix(Q, [[1, 2], [3, 4]])
+        b = NcMatrix(Q, [[1, 2], [3, 4]], row_labels=(2, 1))
+        assert not R.equals(a, b)
+        assert R.serialize(a) == [["1", "2"], ["3", "4"]]
+        with pytest.raises(ValueError, match=r"rows \(2, 1\)"):
+            R.serialize(b)
+
+    def test_label_only_mismatch_is_an_error_verdict(self, Q):
+        from quasidet.catalog import IdentityDescriptor
+        from quasidet.harness import RunConfig, run_identity
+
+        R = MatrixRing(Q, 2)
+        a = NcMatrix(Q, [[1, 2], [3, 4]])
+        b = NcMatrix(Q, [[1, 2], [3, 4]], row_labels=(2, 1))
+        desc = IdentityDescriptor(
+            ident="LABELS",
+            module="matrix",
+            statement="a label-only mismatch",
+            cells=((2, 1),),
+            check=lambda ctx: ctx.compare("labels", a, b, R),
+        )
+        verdict = run_identity(desc, RunConfig(samples=1))
+        assert verdict.status == "error"
+        error = verdict.counterexample["error"]
+        assert error["type"] == "ValueError" and "(2, 1)" in error["message"]

@@ -16,6 +16,7 @@ from quasidet.rings import (
     MatScalar,
     QRat,
     QRationalFunctions,
+    Rat,
     Rationals,
     SampleProfile,
     SquareMatrices,
@@ -94,6 +95,77 @@ def test_rational_serialization_roundtrip(num, den):
     Q = Rationals()
     x = Fraction(num, den)
     assert Q.deserialize(Q.serialize(x)) == x
+
+
+# Rat against Fraction: small values hit every gcd branch of the
+# lowest-terms formulas, wide ones carry multi-digit factors
+rational_values = st.one_of(
+    fractions_st,
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+rat_operands = st.one_of(
+    rational_values.map(Rat), rational_values, st.integers(-(10**6), 10**6)
+)
+
+
+@given(x=rational_values, y=rat_operands)
+def test_rat_arithmetic_matches_fraction(x, y):
+    a, fy = Rat(x), Fraction(y)
+    results = [(-a, -x)]
+    for op in (operator.add, operator.sub, operator.mul):
+        results += [(op(a, y), op(x, fy)), (op(y, a), op(fy, x))]
+    for got, want in results:
+        assert type(got) is Rat
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+    for made in (a, -a, a * y):
+        plain = Fraction(made.numerator, made.denominator)
+        assert made == plain and hash(made) == hash(plain)
+        assert str(made) == str(plain) and repr(made) == repr(plain)
+    if x.denominator == 1:
+        assert a == x.numerator and hash(a) == hash(x.numerator)
+
+
+def test_rat_leaves_other_operands_to_fraction():
+    a = Rat(1, 2)
+    assert a + 0.25 == 0.75 and type(a + 0.25) is float
+    assert a * True == Fraction(1, 2)
+    assert type(a / 2) is Fraction and a / 2 == Fraction(1, 4)
+
+
+def test_fraction_keeps_the_fields_rat_reads():
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    assert Rat.__slots__ == ()
+
+
+def test_rationals_make_only_rats(Q):
+    rng = random.Random(7)
+    made = [
+        Q.zero,
+        Q.one,
+        Q.from_int(-3),
+        Q.coerce(4),
+        Q.coerce(Fraction(2, 6)),
+        Q.coerce(Rat(1, 2)),
+        Q.try_invert(Fraction(-3, 7)),
+        Q.try_invert(5),
+        Q.try_invert(Rat(2, 3)),
+        Q.unflatten(([[6]], -4)),
+        Q.deserialize("-3/9"),
+        Q.random_element(rng),
+        SampleProfile(3, 5).draw_fraction(rng),
+    ]
+    assert all(type(x) is Rat for x in made)
+    assert made[:11] == [
+        0, 1, -3, 4, Fraction(1, 3), Fraction(1, 2), Fraction(-7, 3),
+        Fraction(1, 5), Fraction(3, 2), Fraction(-3, 2), Fraction(-1, 3),
+    ]
+    # each draw is Fraction(randint(-max_num, max_num), randint(1, max_den))
+    twin = random.Random(7)
+    assert made[11:] == [
+        Fraction(twin.randint(-10, 10), twin.randint(1, 10)),
+        Fraction(twin.randint(-3, 3), twin.randint(1, 5)),
+    ]
 
 
 def fraction_rows(d):

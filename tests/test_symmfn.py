@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from oracles import (
     complete_classical,
@@ -22,6 +22,7 @@ from quasidet.symmfn import (
     elementary_lambda,
     hat_transform,
     is_independent,
+    ribbon_from_ys,
     ribbon_schur,
     shift_by_unit,
     vandermonde,
@@ -257,6 +258,22 @@ class TestRibbon:
         xs3 = draw_independent(Q, 3, rng)
         for J in ((2, 1), (1, 2), (1, 1, 1)):
             assert ribbon_schur(Q, xs3, J) == ribbon_classical(xs3, J)
+
+    def test_ribbon_words_match_the_descent_filter(self, rng, Q, M2):
+        # against the sum over all n^m words kept by their descent set
+        for ring in (Q, M2):
+            for n in (1, 2, 3):
+                ys = [ring.random_element(rng) for _ in range(n)]
+                for m in range(1, 5):
+                    for J in compositions(m):
+                        want = ring.zero
+                        for word in product(range(n), repeat=m):
+                            if descent_set(word) == composition_descents(J):
+                                term = ring.one
+                                for i in word:
+                                    term = term * ys[i]
+                                want = want + term
+                        assert ribbon_from_ys(ring, ys, J) == want
 
 
 class TestSymmetry:
