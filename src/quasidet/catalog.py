@@ -371,12 +371,8 @@ def check_commutative_ratio(ctx: CheckContext):
     A = _square(ctx)
     p, q = _pivot(ctx, A)
     v = qdet(A, p, q)
-    full = det_bareiss([list(r) for r in A.entries])
-    sub = (
-        Fraction(1)
-        if ctx.n == 1
-        else det_bareiss([list(r) for r in A.delete_row_col(p, q).entries])
-    )
+    full = det_bareiss(A.entries)
+    sub = det_bareiss(A.delete_row_col(p, q).entries)
     p_pos = list(A.row_labels).index(p) + 1
     q_pos = list(A.col_labels).index(q) + 1
     sign = Fraction(-1) ** (p_pos + q_pos)
@@ -656,7 +652,7 @@ def check_rank(ctx: CheckContext):
         left = ctx.draw.matrix(ring, n, r)
         right = ctx.draw.matrix(ring, r, n)
         A = left * right
-    classical = rational_rank([list(row) for row in A.entries])
+    classical = rational_rank(A.entries)
     ctx.compare(
         "rank-vs-echelon",
         Fraction(rank_by_quasiminors(A)),
@@ -699,7 +695,7 @@ def check_sylvester_commutative(ctx: CheckContext):
     k = ctx.draw.int_range(1, n - 2)
     K = list(A.row_labels[:k])
     a0 = A.select(K, K)
-    det_a0 = det_bareiss([list(r) for r in a0.entries])
+    det_a0 = det_bareiss(a0.entries)
     if det_a0 == 0:
         raise DomainError("pivot block singular")
     rest = [x for x in A.row_labels if x not in K]
@@ -713,7 +709,7 @@ def check_sylvester_commutative(ctx: CheckContext):
             row.append(det_bareiss(bordered))
         tilde.append(row)
     det_tilde = det_bareiss(tilde)
-    det_a = det_bareiss([list(r) for r in A.entries])
+    det_a = det_bareiss(A.entries)
     ctx.compare(
         "determinant-reduction",
         det_a * det_a0 ** (n - k - 1),
@@ -1320,20 +1316,18 @@ def check_gauss(ctx: CheckContext):
     U, Y, L = pl.gauss_decompose(A)
     ctx.compare("reassembly", (U * Y) * L, A, MatrixRing(ctx.ring, ctx.n))
     if ctx.d == 1:
-        n = ctx.n
-        for pos, k in enumerate(A.row_labels):
-            trailing = A.row_labels[pos:]
-            num = det_bareiss([list(r) for r in A.select(trailing, trailing).entries])
-            tail = A.row_labels[pos + 1 :]
-            den = (
-                det_bareiss([list(r) for r in A.select(tail, tail).entries])
-                if tail
-                else Fraction(1)
-            )
+        labels = A.row_labels
+        # minors[pos] is the trailing principal minor from position pos on
+        minors = [
+            det_bareiss(A.select(labels[pos:], labels[pos:]).entries)
+            for pos in range(ctx.n)
+        ]
+        minors.append(Fraction(1))
+        for pos, k in enumerate(labels):
             ctx.compare(
                 f"trailing-minor-ratio-{k}",
-                Y.entry(k, k) * den,
-                num,
+                Y.entry(k, k) * minors[pos + 1],
+                minors[pos],
                 Rationals(),
             )
 
@@ -1393,10 +1387,8 @@ def check_vandermonde_ratio(ctx: CheckContext):
     xs = _independent_values(ctx, ctx.n)
     V = sf.vandermonde(ctx.ring, xs)
     mat = sf.power_matrix(ctx.ring, xs)
-    full = det_bareiss([list(r) for r in mat.entries])
-    sub = det_bareiss(
-        [list(r) for r in mat.delete_row_col(1, ctx.n).entries]
-    )
+    full = det_bareiss(mat.entries)
+    sub = det_bareiss(mat.delete_row_col(1, ctx.n).entries)
     sign = Fraction(-1) ** (1 + ctx.n)
     ctx.compare("alternant-ratio", V * sub, sign * full)
 

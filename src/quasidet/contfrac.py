@@ -9,7 +9,6 @@ invertible entries in the general corner-product identities.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -345,10 +344,9 @@ def rr_continued_fraction(order: int, depth: int):
 
 def _q_factorial_denominator(k: int) -> QRat:
     """(1 - q)(1 - q^2)...(1 - q^k)."""
-    acc = (Fraction(1),)
+    acc = (1,)
     for i in range(1, k + 1):
-        factor = [Fraction(1)] + [Fraction(0)] * (i - 1) + [Fraction(-1)]
-        acc = poly_mul(acc, tuple(factor))
+        acc = poly_mul(acc, (1, *[0] * (i - 1), -1))
     return QRat(acc)
 
 

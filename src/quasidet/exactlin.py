@@ -11,14 +11,16 @@ elimination so it stays an independent route from that core.
 
 The flattening of a matrix over a rational-embeddable ring reaches this
 module as an int matrix ``num`` with one positive scale per row: the
-rational matrix is ``diag(scales)^-1 num``.  Results come back as an int
-matrix over one nonzero denominator.
+rational matrix is ``diag(scales)^-1 num``; ``_integer_rows`` is the one
+place that clears rows of ints or Fractions to that form.  Results come
+back as ints over one nonzero denominator, except the determinant (one
+Fraction) and ``invert_rational``'s Fraction matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 def _integer_rows(rows):
@@ -143,40 +145,31 @@ def invert_rational(rows):
 
 
 def det_bareiss(rows) -> Fraction:
-    """Determinant via Bareiss fraction-free elimination.
-
-    Rows are scaled to integers first (tracking the scale), so every
-    interior division in the elimination is exact integer division.
-    """
+    """Determinant of a square rational matrix via Bareiss elimination:
+    the last pivot of the int rows over the product of their scales.  The
+    loop is its own, not ``_eliminate``, so the determinant stays a route
+    independent of the Schur complement it is checked against."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        m.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
+    m, scales = _integer_rows(rows)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return Fraction(0)
+        swap = next((r for r in range(k, n) if m[r][k]), None)
+        if swap is None:
+            return Fraction(0)
+        if swap != k:
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+        p = m[k][k]
+        tail = m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = p
+    return Fraction(sign * m[-1][-1], prod(scales))
 
 
 def rational_rank(rows) -> int:
@@ -188,23 +181,24 @@ def rational_rank(rows) -> int:
 
 
 def right_kernel(rows):
-    """Basis (as columns) of {v : M v = 0} for a rational matrix M.
+    """Basis of {v : M v = 0} for a rational matrix M, over one denominator.
 
-    Returns a list of basis vectors, each a list of Fractions of length
-    n_cols: one per free column of the reduced row echelon form.
+    Returns ``(basis, den)``: int vectors of length n_cols, one per free
+    column of the reduced row echelon form, each divided by the nonzero
+    int ``den`` (the last pivot of the elimination).
     """
     m, _ = _integer_rows(rows)
     if not m:
-        return []
+        return [], 1
     n_cols = len(m[0])
     pivots, p = _eliminate(m, n_cols)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
+        v = [0] * n_cols
+        v[free] = p
         for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-m[r][free], p)
+            v[pc] = -m[r][free]
         basis.append(v)
-    return basis
+    return basis, p

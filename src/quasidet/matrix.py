@@ -451,7 +451,8 @@ def matrix_from_expressions(obj: dict) -> NcMatrix:
     """Build a rational matrix from the JSON file format
     {"rows": n, "cols": m, "entries": [[expr, ...], ...]} where each
     entry is an expression string over integers (the grammar with
-    + - *, parentheses and inv) or a plain integer."""
+    + - *, parentheses and inv) or a plain integer; any other JSON
+    value (a float, a bool, null) raises ValueError."""
     from .formula import evaluate, free_vars, parse
     from .rings import Rationals
 
@@ -464,6 +465,10 @@ def matrix_from_expressions(obj: dict) -> NcMatrix:
     for row in entries:
         out = []
         for cell in row:
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                raise ValueError(
+                    f"matrix entries must be integers or expression strings; got {cell!r}"
+                )
             if isinstance(cell, int):
                 out.append(Fraction(cell))
                 continue

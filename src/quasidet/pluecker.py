@@ -14,7 +14,6 @@ the other side.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import right_kernel
@@ -221,12 +220,10 @@ def kernel_complement(A: NcMatrix) -> Optional[NcMatrix]:
         raise TypeError("kernel construction needs a rational-embeddable ring")
     k, n = A.n_rows, A.n_cols
     # the row scales do not move the kernel
-    basis = right_kernel(flatten_matrix(ring, A.entries)[0])
+    basis, den = right_kernel(flatten_matrix(ring, A.entries)[0])
     if len(basis) != (n - k) * dd:
         return None
-    den = lcm(*(x.denominator for vec in basis for x in vec))
-    big = [
-        [vec[r].numerator * (den // vec[r].denominator) for vec in basis]
-        for r in range(n * dd)
-    ]
-    return unflatten_matrix(ring, big, den, n, n - k, range(1, n + 1), range(1, n - k + 1))
+    # the basis vectors are the columns of the flattened B
+    return unflatten_matrix(
+        ring, list(zip(*basis)), den, n, n - k, range(1, n + 1), range(1, n - k + 1)
+    )

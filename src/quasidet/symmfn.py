@@ -10,7 +10,7 @@ structure.
 
 from __future__ import annotations
 
-from itertools import combinations, product as iter_product
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .matrix import NcMatrix
@@ -228,11 +228,8 @@ def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series"
 
 
 def _word_sum_nondecreasing(ring, ys, k):
-    n = len(ys)
     acc = ring.zero
-    for word in iter_product(range(n), repeat=k):
-        if any(word[i] > word[i + 1] for i in range(k - 1)):
-            continue
+    for word in combinations_with_replacement(range(len(ys)), k):
         term = ring.one
         for idx in word:
             term = term * ys[idx]

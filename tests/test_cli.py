@@ -199,5 +199,14 @@ def test_filters_leaving_no_cell_fail_the_run(flag, value, capsys):
     assert "0 verified" in out
 
 
+@pytest.mark.parametrize("entry", [1.5, True, None])
+def test_non_integer_json_entries_are_usage_errors(entry, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    assert main(["qdet", "--matrix", str(path), "--p", "1", "--q", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expression strings" in err
+
+
 def test_bad_subcommand_exit_code():
     assert main(["not-a-command"]) == 3

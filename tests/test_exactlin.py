@@ -44,6 +44,14 @@ def test_bareiss_singular():
     assert det_bareiss([[1, 2], [2, 4]]) == 0
 
 
+@pytest.mark.parametrize(
+    "rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]]
+)
+def test_bareiss_rejects_non_square(rows):
+    with pytest.raises(ValueError, match="non-square"):
+        det_bareiss(rows)
+
+
 def test_inverse_roundtrip(rng):
     for n in (1, 2, 3, 4):
         for _ in range(10):
@@ -81,11 +89,17 @@ def test_rank_of_planted_product(rng):
         assert rational_rank(mat) <= r if r else rational_rank(mat) == 0
 
 
+def kernel_fractions(mat):
+    """``right_kernel``'s int basis over its denominator, as Fractions."""
+    basis, den = right_kernel(mat)
+    return [[Fraction(x, den) for x in v] for v in basis]
+
+
 def test_right_kernel_annihilates(rng):
     for _ in range(15):
         n, m = rng.randint(1, 3), rng.randint(2, 5)
         mat = random_matrix(rng, n, m)
-        basis = right_kernel(mat)
+        basis = kernel_fractions(mat)
         assert len(basis) == m - rational_rank(mat)
         for vec in basis:
             for row in mat:
@@ -122,13 +136,13 @@ def test_inverse_matches_fraction_gauss_jordan(mat):
 @given(matrices(max_rows=7, max_cols=9))
 def test_rank_and_kernel_match_fraction_gauss_jordan(mat):
     assert rational_rank(mat) == rank_gauss_jordan(mat)
-    assert right_kernel(mat) == kernel_gauss_jordan(mat)
+    assert kernel_fractions(mat) == kernel_gauss_jordan(mat)
 
 
 def test_kernel_of_zero_rows_is_everything():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     assert rational_rank(zero) == 0
-    assert right_kernel(zero) == [
+    assert kernel_fractions(zero) == [
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)
     ]
 
