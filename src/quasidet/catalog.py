@@ -46,7 +46,6 @@ from .rings import (
     Rationals,
     SampleProfile,
     ScalarRing,
-    SquareMatrices,
     TruncatedSeriesRing,
 )
 from .sampling import Draw
@@ -135,18 +134,18 @@ def _pivot(ctx: CheckContext, A: NcMatrix):
     return p, q
 
 
-def _independent_values(ctx: CheckContext, count: int, ring=None, tries: int = 50):
-    ring = ring or ctx.ring
-    for _ in range(tries):
+def _independent_values(ctx: CheckContext, count: int):
+    ring = ctx.ring
+    for _ in range(50):
         xs = [ctx.draw.scalar(ring) for _ in range(count)]
         if sf.is_independent(ring, xs):
             return xs
     raise DomainError("could not draw an independent sequence")
 
 
-def _independent_with_z(ctx: CheckContext, count: int, tries: int = 50):
+def _independent_with_z(ctx: CheckContext, count: int):
     ring = ctx.ring
-    for _ in range(tries):
+    for _ in range(50):
         xs = [ctx.draw.scalar(ring) for _ in range(count)]
         z = ctx.draw.scalar(ring)
         if not sf.is_independent(ring, xs):
@@ -173,10 +172,10 @@ def _independent_with_z(ctx: CheckContext, count: int, tries: int = 50):
     raise DomainError("could not draw an independent sequence with tail value")
 
 
-def _permutation_orbit_values(ctx: CheckContext, count: int, perms, tries: int = 50):
+def _permutation_orbit_values(ctx: CheckContext, count: int, perms):
     """Values independent under every permutation in the orbit."""
     ring = ctx.ring
-    for _ in range(tries):
+    for _ in range(50):
         xs = [ctx.draw.scalar(ring) for _ in range(count)]
         if all(
             sf.is_independent(ring, [xs[p - 1] for p in perm]) for perm in perms
@@ -200,7 +199,7 @@ def _permutation_orbit_values(ctx: CheckContext, count: int, perms, tries: int =
 def check_ring_axioms(ctx: CheckContext):
     rings = [ctx.ring]
     if ctx.d <= 2:
-        rings.append(TruncatedSeriesRing(SquareMatrices(ctx.d), 2))
+        rings.append(TruncatedSeriesRing(ctx.ring, 2))
     if ctx.d == 1:
         rings.append(QRationalFunctions())
     for ring in rings:
@@ -230,7 +229,7 @@ def check_ring_axioms(ctx: CheckContext):
     operations=("rings.TruncatedSeriesRing",),
 )
 def check_series_inversion(ctx: CheckContext):
-    T = TruncatedSeriesRing(SquareMatrices(ctx.d), 4)
+    T = TruncatedSeriesRing(ctx.ring, 4)
     c = ctx.draw.invertible_scalar(T)
     inv = T.invert(c)
     ctx.compare("series-right-inverse", c * inv, T.one, T)
@@ -1653,7 +1652,7 @@ def check_ribbon_basis(ctx: CheckContext):
     operations=("symmfn.dual_shift_ring", "symmfn.y_transform"),
 )
 def check_derivation(ctx: CheckContext):
-    T = sf.dual_shift_ring(ctx.d)
+    T = sf.dual_shift_ring(ctx.ring)
     base = T.base
     k_max = min(ctx.n, 4)
     for _ in range(50):
@@ -1754,14 +1753,13 @@ def check_jacobi_cf(ctx: CheckContext):
     operations=("contfrac.commutator_matrix", "contfrac.convergents_recurrence"),
 )
 def check_berenstein(ctx: CheckContext):
-    M3 = SquareMatrices(3)
     n = ctx.n
     diag = [cf.heisenberg_diagonal(ctx.draw) for _ in range(n)]
-    A = cf.commutator_matrix(diag)
+    A = cf.commutator_matrix(ctx.ring, diag)
     P, _ = cf.convergents_recurrence(A)
     want = cf.descending_diagonal_product(diag)
-    ctx.compare("descending-product", P[n], want, M3)
-    ctx.compare("corner-form", qdet(A, 1, n), want, M3)
+    ctx.compare("descending-product", P[n], want, ctx.ring)
+    ctx.compare("corner-form", qdet(A, 1, n), want, ctx.ring)
 
 
 @identity(
@@ -1777,7 +1775,7 @@ def check_berenstein(ctx: CheckContext):
 )
 def check_series_ratio(ctx: CheckContext):
     order = 6 if ctx.d == 2 else 3
-    A = cf.graded_series_matrix(ctx.draw, ctx.d, order, order + 2)
+    A = cf.graded_series_matrix(ctx.draw, ctx.ring, order, order + 2)
     T = A.ring
     lhs = qdet(A, 1, 1)
     P = cf.series_numerator(A)

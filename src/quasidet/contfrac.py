@@ -9,18 +9,20 @@ invertible entries in the general corner-product identities.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .matrix import NcMatrix
 from .qdet import qdet
 from .rings import (
     DomainError,
+    MatScalar,
     QRat,
     QRationalFunctions,
     Rationals,
     ScalarRing,
-    SquareMatrices,
     TruncatedSeriesRing,
     poly_mul,
 )
@@ -175,27 +177,21 @@ def jacobi_convergents(ring: ScalarRing, diag: Sequence):
 # nilpotent upper-triangular realization of the commutator condition
 
 
-def heisenberg_diagonal(draw) -> "object":
-    """One diagonal entry: identity plus a combination of the three
-    strict-upper 3x3 matrix units.  Commutators of two such entries are
-    central, multiply to zero, and absorb unipotent diagonal factors;
-    all three properties are needed for the descending-product identity."""
-    M3 = SquareMatrices(3)
+def heisenberg_diagonal(draw) -> MatScalar:
+    """One diagonal entry: the 3x3 unipotent upper-triangular matrix
+    [[1, alpha, gamma], [0, 1, beta], [0, 0, 1]].  Commutators of two
+    such entries are central, multiply to zero, and absorb unipotent
+    diagonal factors; all three properties are needed for the
+    descending-product identity."""
     alpha = draw.scalar(Rationals())
     beta = draw.scalar(Rationals())
     gamma = draw.scalar(Rationals())
-    return (
-        M3.unit(1, 2) * M3.scalar_matrix(alpha)
-        + M3.unit(2, 3) * M3.scalar_matrix(beta)
-        + M3.unit(1, 3) * M3.scalar_matrix(gamma)
-        + M3.one
-    )
+    return MatScalar([[1, alpha, gamma], [0, 1, beta], [0, 0, 1]])
 
 
-def commutator_matrix(diag: Sequence) -> NcMatrix:
+def commutator_matrix(ring: ScalarRing, diag: Sequence) -> NcMatrix:
     """Almost-triangular matrix whose strict upper entries are the
     commutators a_{ij} = a_jj a_ii - a_ii a_jj of its diagonal."""
-    M3 = SquareMatrices(3)
     n = len(diag)
     upper = {}
     for i in range(1, n + 1):
@@ -204,25 +200,22 @@ def commutator_matrix(diag: Sequence) -> NcMatrix:
                 upper[(i, j)] = diag[i - 1]
             else:
                 upper[(i, j)] = diag[j - 1] * diag[i - 1] - diag[i - 1] * diag[j - 1]
-    return almost_triangular(M3, upper, n)
+    return almost_triangular(ring, upper, n)
 
 
 def descending_diagonal_product(diag: Sequence):
-    M3 = SquareMatrices(3)
-    acc = M3.one
-    for a in reversed(list(diag)):
-        acc = acc * a  # builds a_nn ... a_11 left to right
-    return acc
+    """The descending product a_nn ... a_11 of the diagonal entries."""
+    return reduce(mul, reversed(diag))
 
 
 # ---------------------------------------------------------------------------
 # formal-series ratio over the t-graded instantiation
 
 
-def graded_series_matrix(draw, d: int, order: int, size: int):
+def graded_series_matrix(draw, base: ScalarRing, order: int, size: int):
     """Size x size almost-triangular matrix over order-truncated series
-    whose diagonal entries are 1 + t M and strict upper entries t M."""
-    base = SquareMatrices(d)
+    with coefficients in ``base``, whose diagonal entries are 1 + t M
+    and strict upper entries t M."""
     T = TruncatedSeriesRing(base, order)
     upper = {}
     for i in range(1, size + 1):

@@ -85,10 +85,6 @@ class NcMatrix:
     def row(self, i):
         return self.entries[self._row_pos(i)]
 
-    def col(self, j):
-        pos = self._col_pos(j)
-        return tuple(r[pos] for r in self.entries)
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -452,13 +448,18 @@ def matrix_from_expressions(obj: dict) -> NcMatrix:
     {"rows": n, "cols": m, "entries": [[expr, ...], ...]} where each
     entry is an expression string over integers (the grammar with
     + - *, parentheses and inv) or a plain integer; any other JSON
-    value (a float, a bool, null) raises ValueError."""
+    value (a float, a bool, null) raises ValueError, and so does a
+    file that is not an object or whose rows are not lists."""
     from .formula import evaluate, free_vars, parse
     from .rings import Rationals
 
+    if not isinstance(obj, dict):
+        raise ValueError("a matrix file must hold a JSON object")
     ring = Rationals()
     n, m = obj["rows"], obj["cols"]
     entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix entries must be a list of rows, each a list")
     if len(entries) != n or any(len(row) != m for row in entries):
         raise ValueError("entry grid does not match the declared shape")
     rows = []

@@ -140,15 +140,15 @@ def gauss_decompose(A: NcMatrix):
     labels = list(A.row_labels)
     if list(A.col_labels) != labels:
         raise ValueError("matching row/column labels required")
-    y = {}
+    Y = [[ring.zero] * n for _ in range(n)]
     for pos, k in enumerate(labels):
         trailing = labels[pos:]
         yk = qdet(A.select(trailing, trailing), k, k)
         if ring.try_invert(yk) is None:
             raise DomainError("diagonal factor not invertible", payload=k)
-        y[k] = yk
-    U = NcMatrix.identity(ring, n, labels)
-    L = NcMatrix.identity(ring, n, labels)
+        Y[pos][pos] = yk
+    U = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
+    L = [list(row) for row in U]
     for b_pos in range(1, n):
         beta = labels[b_pos]
         tail = labels[b_pos + 1 :]
@@ -156,29 +156,9 @@ def gauss_decompose(A: NcMatrix):
         C_beta = A.select(labels[b_pos:], labels)
         for a_pos in range(b_pos):
             alpha = labels[a_pos]
-            x = right_qpc(B_beta, alpha, beta, tail)
-            z = left_qpc(C_beta, beta, alpha, tail)
-            U = _set_entry(U, alpha, beta, x)
-            L = _set_entry(L, beta, alpha, z)
-    Y = NcMatrix(
-        ring,
-        [
-            [y[r] if r == c else ring.zero for c in labels]
-            for r in labels
-        ],
-        labels,
-        labels,
-    )
-    return U, Y, L
-
-
-def _set_entry(M: NcMatrix, i, j, value) -> NcMatrix:
-    rp, cp = M._row_pos(i), M._col_pos(j)
-    rows = [
-        tuple(value if (r == rp and c == cp) else x for c, x in enumerate(row))
-        for r, row in enumerate(M.entries)
-    ]
-    return NcMatrix(M.ring, rows, M.row_labels, M.col_labels)
+            U[a_pos][b_pos] = right_qpc(B_beta, alpha, beta, tail)
+            L[b_pos][a_pos] = left_qpc(C_beta, beta, alpha, tail)
+    return tuple(NcMatrix(ring, M, labels, labels) for M in (U, Y, L))
 
 
 def flag_coordinate(A: NcMatrix, cols: Sequence):

@@ -13,10 +13,10 @@ invert (partially), sample and serialize its elements.  Concrete rings:
                               variable q (pairs of coprime integer
                               polynomials).
 
-Series over ``SquareMatrices`` provide the t-graded scalars used by the
-derivation and formal-series checks; series over ``QRationalFunctions``
-provide the q-series scalars used by the continued-fraction coefficient
-checks.
+Series over ``Rationals`` and ``SquareMatrices`` provide the t-graded
+scalars used by the derivation and formal-series checks; series over
+``QRationalFunctions`` provide the q-series scalars used by the
+continued-fraction coefficient checks.
 """
 
 from __future__ import annotations
@@ -308,9 +308,10 @@ class MatScalar:
     exactly one representation and arithmetic runs on Python ints.
     ``MatScalar(rows)`` takes rows of ints or Fractions;
     ``MatScalar(num, den)`` takes a tuple of int-tuples over any nonzero
-    int ``den`` and reduces it.  Products and sums at d <= 3 run through
-    the straight-line kernels in ``_MUL`` and ``_COMBINE``; results they
-    reduce themselves, and negations, are built by ``_new`` instead.
+    int ``den`` and reduces it.  Products and sums at d = 2 and 3 run
+    through the straight-line kernels in ``_MUL`` and ``_COMBINE``, every
+    other d through the generic loops; results the kernels reduce
+    themselves, and negations, are built by ``_new`` instead.
     """
 
     __slots__ = ("d", "num", "den")
@@ -428,13 +429,9 @@ def _new(num, den, d):
     return a
 
 
-# Straight-line kernels for d <= 3: every entry is one expression, and
-# _canon<d> reduces them by one gcd over the positive denominator.
-
-
-def _canon1(den, c):
-    g = gcd(den, c)
-    return _new(((c // g,),), den // g, 1)
+# Straight-line kernels for d = 2 and 3: every entry is one expression,
+# and _canon<d> reduces them by one gcd over the positive denominator.
+# Q itself is ``Rationals``, so d = 1 is left to the generic loops.
 
 
 def _canon2(den, p, q, r, s):
@@ -487,12 +484,8 @@ def _combine3(a, b, u, v, den):
 
 # d -> kernel; a product kernel takes (a.num, b.num, a.den * b.den), a
 # combine kernel (a.num, b.num, u, v, den) for (a * u + b * v) / den
-_MUL = {1: lambda a, b, den: _canon1(den, a[0][0] * b[0][0]), 2: _mul2, 3: _mul3}
-_COMBINE = {
-    1: lambda a, b, u, v, den: _canon1(den, a[0][0] * u + b[0][0] * v),
-    2: _combine2,
-    3: _combine3,
-}
+_MUL = {2: _mul2, 3: _mul3}
+_COMBINE = {2: _combine2, 3: _combine3}
 
 
 class SquareMatrices(ScalarRing):
@@ -532,16 +525,6 @@ class SquareMatrices(ScalarRing):
         d = self.d
         return MatScalar(
             [[x if i == j else 0 for j in range(d)] for i in range(d)]
-        )
-
-    def unit(self, i: int, j: int):
-        """Matrix unit with a single 1 in (1-based) position (i, j)."""
-        d = self.d
-        return MatScalar(
-            [
-                [int((r, c) == (i - 1, j - 1)) for c in range(d)]
-                for r in range(d)
-            ]
         )
 
     def random_element(self, rng, profile=None):
@@ -697,9 +680,6 @@ class TruncatedSeriesRing(ScalarRing):
         coeffs = [self.base.zero] * (self.order + 1)
         coeffs[1] = self.base.one
         return SeriesElement(self, coeffs)
-
-    def coefficient(self, a: SeriesElement, k: int):
-        return a.coeffs[k]
 
     def is_zero(self, a: SeriesElement) -> bool:
         return all(map(self.base.is_zero, a.coeffs))

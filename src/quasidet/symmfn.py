@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .matrix import NcMatrix
 from .qdet import qdet
-from .rings import DomainError, ScalarRing, SquareMatrices, TruncatedSeriesRing
+from .rings import DomainError, ScalarRing, TruncatedSeriesRing
 
 
 def scalar_power(ring: ScalarRing, x, k: int):
@@ -318,10 +318,10 @@ def lambda_word_value(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
     return acc
 
 
-def dual_shift_ring(d: int) -> TruncatedSeriesRing:
-    """Order-1 series over d x d matrices: the dual-number scalars used
-    to read off directional derivatives exactly."""
-    return TruncatedSeriesRing(SquareMatrices(d), 1)
+def dual_shift_ring(base: ScalarRing) -> TruncatedSeriesRing:
+    """Order-1 series over ``base``: the dual-number scalars used to
+    read off directional derivatives exactly."""
+    return TruncatedSeriesRing(base, 1)
 
 
 def shift_by_unit(T: TruncatedSeriesRing, x):

@@ -208,5 +208,21 @@ def test_non_integer_json_entries_are_usage_errors(entry, tmp_path, capsys):
     assert err.startswith("error:") and "expression strings" in err
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ([[1]], "JSON object"),
+        ({"rows": 2, "cols": 1, "entries": [["1"], 5]}, "list of rows"),
+    ],
+    ids=["top-level-list", "row-not-a-list"],
+)
+def test_misshapen_matrix_files_are_usage_errors(content, message, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(content))
+    assert main(["qdet", "--matrix", str(path), "--p", "1", "--q", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_bad_subcommand_exit_code():
     assert main(["not-a-command"]) == 3

@@ -88,7 +88,7 @@ class TestGeneratorReplay:
                 draw, SquareMatrices(2), 4, general_subdiag=True
             ),
             heisenberg_diagonal,
-            lambda draw: graded_series_matrix(draw, 2, 2, 4),
+            lambda draw: graded_series_matrix(draw, SquareMatrices(2), 2, 4),
         ],
         ids=["almost-triangular", "general-subdiag", "heisenberg", "graded-series"],
     )
@@ -202,9 +202,9 @@ class TestCommutatorCollapse:
             assert a12 + a11 * a22 == a22 * a11
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_descending_product(self, n, rng):
+    def test_descending_product(self, n, rng, M3):
         diag = [heisenberg_diagonal(Draw(rng)) for _ in range(n)]
-        A = commutator_matrix(diag)
+        A = commutator_matrix(M3, diag)
         P, _ = convergents_recurrence(A)
         want = descending_diagonal_product(diag)
         assert P[n] == want
@@ -213,7 +213,7 @@ class TestCommutatorCollapse:
     def test_scalar_degenerate_smoke(self):
         M3 = SquareMatrices(3)
         diag = [M3.scalar_matrix(Fraction(k + 2, 3)) for k in range(3)]
-        A = commutator_matrix(diag)
+        A = commutator_matrix(M3, diag)
         for i in range(1, 4):
             for j in range(i + 1, 4):
                 assert M3.is_zero(A.entry(i, j))
@@ -222,16 +222,16 @@ class TestCommutatorCollapse:
 
 
 class TestSeriesRatio:
-    def test_order_zero_everything_is_one(self, rng):
-        A = graded_series_matrix(Draw(rng), 1, 0, 3)
+    def test_order_zero_everything_is_one(self, rng, Q):
+        A = graded_series_matrix(Draw(rng), Q, 0, 3)
         T = A.ring
         assert qdet(A, 1, 1) == T.one
         assert series_numerator(A) == T.one
         assert series_denominator(A) == T.one
 
-    def test_first_order_coefficient_by_hand(self, rng):
+    def test_first_order_coefficient_by_hand(self, rng, Q):
         # to first order the corner value is 1 + t(M_11 + sum_j M_1j)
-        A = graded_series_matrix(Draw(rng), 1, 2, 4)
+        A = graded_series_matrix(Draw(rng), Q, 2, 4)
         T = A.ring
         v = qdet(A, 1, 1)
         want1 = A.entry(1, 1).coeffs[1]
@@ -240,9 +240,9 @@ class TestSeriesRatio:
         assert v.coeffs[0] == T.base.one
         assert v.coeffs[1] == want1
 
-    def test_ratio_identity_small(self, rng):
-        for (d, L, N) in ((1, 3, 5), (2, 2, 4)):
-            A = graded_series_matrix(Draw(rng), d, L, N)
+    def test_ratio_identity_small(self, rng, Q, M2):
+        for (base, L, N) in ((Q, 3, 5), (M2, 2, 4)):
+            A = graded_series_matrix(Draw(rng), base, L, N)
             T = A.ring
             lhs = qdet(A, 1, 1)
             assert series_numerator(A) * T.invert(series_denominator(A)) == lhs

@@ -244,6 +244,28 @@ class TestErrorIsolation:
             replay_from_report(load_report(str(path)), "QDET-DEF-AGREE")
 
 
+class TestCellRings:
+    def test_d1_cells_never_build_m1(self, monkeypatch):
+        # a d = 1 cell samples Q as Rationals; every ring its check
+        # derives must come from that ring, not from a SquareMatrices(1)
+        init = SquareMatrices.__init__
+
+        def refuse_d1(self, d):
+            if d == 1:
+                raise AssertionError("a d = 1 cell built SquareMatrices(1)")
+            init(self, d)
+
+        monkeypatch.setattr(SquareMatrices, "__init__", refuse_d1)
+        config = RunConfig(samples=1, dims=[1])
+        errors = {}
+        for desc in CATALOG:
+            if any(d == 1 for _, d in desc.cells):
+                verdict = run_identity(desc, config)
+                if verdict.status == "error":
+                    errors[desc.ident] = verdict.counterexample["error"]["message"]
+        assert errors == {}
+
+
 class TestMatrixComparisons:
     def test_counterexample_stores_the_compared_matrices(self, monkeypatch):
         real = catalog_module.hadamard_inverse

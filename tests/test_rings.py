@@ -250,7 +250,8 @@ def kernel_operands(draw, d):
 @given(data=st.data())
 @settings(max_examples=150)
 def test_matscalar_kernels_match_fraction_rows(d, data):
-    # d <= 3 runs the straight-line kernels, d = 4 the generic loops
+    # d = 2 and 3 run the straight-line kernels, d = 1 and 4 the generic
+    # loops; no cell builds M1(Q), so this is the d = 1 loops' oracle test
     a, b = data.draw(kernel_operands(d))
     cases = (
         (a * b, oracles.matmul_rows(a.rows, b.rows)),

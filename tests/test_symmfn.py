@@ -330,14 +330,14 @@ class TestSymmetry:
 
 
 class TestDerivation:
-    def test_first_variable_moves_at_unit_rate(self, rng):
-        T = dual_shift_ring(2)
+    def test_first_variable_moves_at_unit_rate(self, rng, M2):
+        T = dual_shift_ring(M2)
         x = T.base.random_element(rng)
         lifted = shift_by_unit(T, x)
         assert lifted.coeffs[1] == T.base.one
 
-    def test_power_matrix_quasideterminant_is_constant(self, rng):
-        T = dual_shift_ring(2)
+    def test_power_matrix_quasideterminant_is_constant(self, rng, M2):
+        T = dual_shift_ring(M2)
         base = T.base
         hits = 0
         while hits < 3:
