@@ -134,54 +134,33 @@ def _pivot(ctx: CheckContext, A: NcMatrix):
     return p, q
 
 
-def _independent_values(ctx: CheckContext, count: int):
+def _independent_values(ctx: CheckContext, count: int, perms=None):
+    """Values whose leading power-matrix quasideterminants are all
+    invertible, in every order of ``perms`` (1-based) when it is given."""
     ring = ctx.ring
-    for _ in range(50):
-        xs = [ctx.draw.scalar(ring) for _ in range(count)]
-        if sf.is_independent(ring, xs):
-            return xs
-    raise DomainError("could not draw an independent sequence")
+    orders = perms or [range(1, count + 1)]
+    return ctx.draw.until(
+        lambda: [ctx.draw.scalar(ring) for _ in range(count)],
+        lambda xs: all(sf.is_independent(ring, [xs[p - 1] for p in order]) for order in orders),
+        "could not draw an independent sequence",
+    )
+
+
+def _tail_invertible(ring, xs, z) -> bool:
+    """V(x_1..x_m, z) invertible for every m from 1 to len(xs)."""
+    return all(
+        ring.try_invert(sf.vandermonde(ring, list(xs[:m]) + [z])) is not None
+        for m in range(1, len(xs) + 1)
+    )
 
 
 def _independent_with_z(ctx: CheckContext, count: int):
     ring = ctx.ring
-    for _ in range(50):
-        xs = [ctx.draw.scalar(ring) for _ in range(count)]
-        z = ctx.draw.scalar(ring)
-        if not sf.is_independent(ring, xs):
-            continue
-        ok = True
-        for k in range(2, count + 1):
-            try:
-                W = sf.vandermonde(ring, xs[: k - 1] + [z])
-            except DomainError:
-                ok = False
-                break
-            if ring.try_invert(W) is None:
-                ok = False
-                break
-        if not ok:
-            continue
-        try:
-            V = sf.vandermonde(ring, xs + [z])
-        except DomainError:
-            continue
-        if ring.try_invert(V) is None:
-            continue
-        return xs, z
-    raise DomainError("could not draw an independent sequence with tail value")
-
-
-def _permutation_orbit_values(ctx: CheckContext, count: int, perms):
-    """Values independent under every permutation in the orbit."""
-    ring = ctx.ring
-    for _ in range(50):
-        xs = [ctx.draw.scalar(ring) for _ in range(count)]
-        if all(
-            sf.is_independent(ring, [xs[p - 1] for p in perm]) for perm in perms
-        ):
-            return xs
-    raise DomainError("could not draw an orbit-independent sequence")
+    return ctx.draw.until(
+        lambda: ([ctx.draw.scalar(ring) for _ in range(count)], ctx.draw.scalar(ring)),
+        lambda xz: sf.is_independent(ring, xz[0]) and _tail_invertible(ring, *xz),
+        "could not draw an independent sequence with tail value",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1410,12 +1389,7 @@ def check_bezout(ctx: CheckContext):
     for extra in range(9):
         z2 = ctx.draw.scalar(ring)
         try:
-            ok = all(
-                ring.try_invert(sf.vandermonde(ring, list(xs[: k - 1]) + [z2]))
-                is not None
-                for k in range(2, n + 1)
-            )
-            if not ok:
+            if not _tail_invertible(ring, xs[:-1], z2):
                 continue
             lhs2 = sf.vandermonde(ring, list(xs) + [z2])
             ctx.compare(
@@ -1494,7 +1468,7 @@ def check_symmetry(ctx: CheckContext, family: str):
     perms = _all_perms(n) if n <= 3 else None
     if perms is None:
         perms = [tuple(ctx.draw.permutation(n)) for _ in range(10)]
-    xs = _permutation_orbit_values(ctx, n, perms)
+    xs = _independent_values(ctx, n, perms)
     if family == "lambda":
         base = sf.elementary_lambda(ring, xs)
         for perm in perms:
@@ -1556,7 +1530,7 @@ identity(
 )
 def check_asym_y1y2(ctx: CheckContext):
     ring = ctx.ring
-    xs = _permutation_orbit_values(ctx, 2, [(1, 2), (2, 1)])
+    xs = _independent_values(ctx, 2, [(1, 2), (2, 1)])
     ys = sf.y_transform(ring, xs)
     ys_swapped = sf.y_transform(ring, xs[::-1])
     ctx.compare("ordered-pair-product", ys[0] * ys[1], ys_swapped[0] * ys_swapped[1])
@@ -1573,7 +1547,7 @@ def check_asym_y1y2(ctx: CheckContext):
 )
 def check_asym_s2_wrong(ctx: CheckContext):
     ring = ctx.ring
-    xs = _permutation_orbit_values(ctx, 2, [(1, 2), (2, 1)])
+    xs = _independent_values(ctx, 2, [(1, 2), (2, 1)])
 
     def wrong_s2(vals):
         y = sf.y_transform(ring, vals)
@@ -1655,13 +1629,11 @@ def check_derivation(ctx: CheckContext):
     T = sf.dual_shift_ring(ctx.ring)
     base = T.base
     k_max = min(ctx.n, 4)
-    for _ in range(50):
-        raw = [ctx.draw.scalar(base) for _ in range(k_max)]
-        lifted = [sf.shift_by_unit(T, x) for x in raw]
-        if sf.is_independent(T, lifted):
-            break
-    else:
-        raise DomainError("no independent shifted sequence")
+    lifted = ctx.draw.until(
+        lambda: [sf.shift_by_unit(T, ctx.draw.scalar(base)) for _ in range(k_max)],
+        lambda values: sf.is_independent(T, values),
+        "no independent shifted sequence",
+    )
     for k in range(2, k_max + 1):
         V = sf.vandermonde(T, lifted[:k])
         ctx.compare(f"shift-coefficient-V{k}", V.coeffs[1], base.zero, base)

@@ -116,67 +116,75 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
-def _cmd_symm(args) -> int:
-    ring = ring_for_dimension(args.d)
-    draw = Draw(substream(args.seed, "cli-symm", args.n, args.d))
-    for _ in range(200):
-        xs = [draw.scalar(ring) for _ in range(args.n)]
-        z = draw.scalar(ring)
-        if sf.is_independent(ring, xs) and sf.is_independent(ring, list(xs) + [z]):
-            break
-    else:
-        print("could not draw an independent sequence", file=sys.stderr)
-        return 2
-    if args.check == "vieta":
+def _symm_check(check: str, ring, xs: list, z):
+    """(passed, output lines) of one symm check on independent xs."""
+    if check == "vieta":
         a = sf.vieta_via_qdet(ring, xs)
         b = sf.vieta_from_y(ring, sf.y_transform(ring, xs))
         c = sf.coeffs_from_roots(ring, xs)
         agree = a == b == c
-        print(f"coefficient routes agree: {agree}")
-        for k, v in enumerate(a, start=1):
-            print(f"  a_{k} = {ring.serialize(v)}")
-        return 0 if agree else 1
-    if args.check == "bezout":
-        lhs = sf.vandermonde(ring, list(xs) + [z])
-        rhs = sf.bezout_product(ring, xs, z)
-        print(f"factorization exact: {ring.equals(lhs, rhs)}")
-        return 0 if ring.equals(lhs, rhs) else 1
-    if args.check == "lambda":
-        for k, v in enumerate(sf.elementary_lambda(ring, xs), start=1):
-            print(f"Lambda_{k} = {ring.serialize(v)}")
-        return 0
-    if args.check == "complete":
+        return agree, [f"coefficient routes agree: {agree}"] + [
+            f"  a_{k} = {ring.serialize(v)}" for k, v in enumerate(a, start=1)
+        ]
+    if check == "bezout":
+        exact = ring.equals(sf.vandermonde(ring, xs + [z]), sf.bezout_product(ring, xs, z))
+        return exact, [f"factorization exact: {exact}"]
+    if check == "lambda":
+        lams = sf.elementary_lambda(ring, xs)
+        return True, [f"Lambda_{k} = {ring.serialize(v)}" for k, v in enumerate(lams, start=1)]
+    if check == "complete":
         s1 = sf.complete_s(ring, xs, 4, route="series")
-        s2 = sf.complete_s(ring, xs, 4, route="words")
-        print(f"series and word routes agree: {s1 == s2}")
-        for k, v in enumerate(s1, start=1):
-            print(f"  S_{k} = {ring.serialize(v)}")
-        return 0 if s1 == s2 else 1
-    if args.check == "ribbon":
-        for J in sf.compositions(3):
-            v = sf.ribbon_schur(ring, xs, J)
-            print(f"R_{J} = {ring.serialize(v)}")
-        return 0
-    print(f"unknown check {args.check!r}", file=sys.stderr)
-    return 3
+        agree = s1 == sf.complete_s(ring, xs, 4, route="words")
+        return agree, [f"series and word routes agree: {agree}"] + [
+            f"  S_{k} = {ring.serialize(v)}" for k, v in enumerate(s1, start=1)
+        ]
+    return True, [
+        f"R_{J} = {ring.serialize(sf.ribbon_schur(ring, xs, J))}" for J in sf.compositions(3)
+    ]
+
+
+def _resampled(draw, make, message):
+    """The first ``make()`` that neither returns None nor raises a
+    ``DomainError``, or None after printing ``message`` when 50 are."""
+    try:
+        return draw.until(make, lambda result: result is not None, message)
+    except DomainError:
+        print(message, file=sys.stderr)
+        return None
+
+
+def _cmd_symm(args) -> int:
+    ring = ring_for_dimension(args.d)
+    draw = Draw(substream(args.seed, "cli-symm", args.n, args.d))
+
+    def make():
+        xs = [draw.scalar(ring) for _ in range(args.n)]
+        z = draw.scalar(ring)
+        if sf.is_independent(ring, xs) and sf.is_independent(ring, xs + [z]):
+            return _symm_check(args.check, ring, xs, z)
+        return None
+
+    result = _resampled(draw, make, "could not draw an independent sequence")
+    if result is None:
+        return 2
+    for line in result[1]:
+        print(line)
+    return 0 if result[0] else 1
 
 
 def _cmd_contfrac(args) -> int:
     ring = ring_for_dimension(args.d)
     draw = Draw(substream(args.seed, "cli-contfrac", args.n, args.d))
-    for _ in range(200):
+
+    def make():
         A = cf.draw_almost_triangular(draw, ring, args.n)
-        try:
-            P, Q = cf.convergents_explicit(A)
-            corner = qdet(A, 1, 1)
-            ratio = P * ring.invert(Q)
-        except DomainError:
-            continue
-        break
-    else:
-        print("could not draw a nondegenerate matrix", file=sys.stderr)
+        P, Q = cf.convergents_explicit(A)
+        return P, Q, ring.equals(P * ring.invert(Q), qdet(A, 1, 1))
+
+    result = _resampled(draw, make, "could not draw a nondegenerate matrix")
+    if result is None:
         return 2
-    ok = ring.equals(ratio, corner)
+    P, Q, ok = result
     print(f"P_n = {ring.serialize(P)}")
     print(f"Q_n = {ring.serialize(Q)}")
     print(f"P_n Q_n^-1 equals the corner quasideterminant: {ok}")

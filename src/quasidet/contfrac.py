@@ -98,6 +98,12 @@ def chain_sum(A: NcMatrix, first_row: int, pool: Sequence[int], end: int):
     """sum over subsets {j_1 < ... < j_k} of pool of the word
     a_{first_row, j_1} a_{j_1+1, j_2} ... a_{j_k+1, end}; the empty
     subset contributes the single letter a_{first_row, end}."""
+    return _chains(A, A.entry, first_row, pool, end)
+
+
+def _chains(A: NcMatrix, step, first_row: int, pool: Sequence[int], end: int):
+    """sum over subsets {j_1 < ... < j_k} of pool, by size, of the word
+    step(first_row, j_1) step(j_1+1, j_2) ... a_{j_k+1, end}."""
     ring = A.ring
     pool = list(pool)
     acc = ring.zero
@@ -106,10 +112,9 @@ def chain_sum(A: NcMatrix, first_row: int, pool: Sequence[int], end: int):
             word = ring.one
             row = first_row
             for j in subset:
-                word = word * A.entry(row, j)
+                word = word * step(row, j)
                 row = j + 1
-            word = word * A.entry(row, end)
-            acc = acc + word
+            acc = acc + word * A.entry(row, end)
     return acc
 
 
@@ -124,21 +129,20 @@ def convergents_explicit(A: NcMatrix):
 def convergents_recurrence(A: NcMatrix):
     """All (P_0..P_n, Q_1..Q_n) by the additive recurrences
     P_k = sum_{s<k} P_s a_{s+1,k} and Q_k = sum_{1<=s<k} Q_s a_{s+1,k}."""
+    return _recurrence(A, 0), _recurrence(A, 1)
+
+
+def _recurrence(A: NcMatrix, start: int) -> list:
+    """X_start = 1 and X_k = sum_{start<=s<k} X_s a_{s+1,k} up to k = n,
+    with None below ``start``."""
     ring = A.ring
-    n = A.n_rows
-    P = [ring.one]
-    for k in range(1, n + 1):
+    X = [None] * start + [ring.one]
+    for k in range(start + 1, A.n_rows + 1):
         acc = ring.zero
-        for s in range(k):
-            acc = acc + P[s] * A.entry(s + 1, k)
-        P.append(acc)
-    Q = [None, ring.one]
-    for k in range(2, n + 1):
-        acc = ring.zero
-        for s in range(1, k):
-            acc = acc + Q[s] * A.entry(s + 1, k)
-        Q.append(acc)
-    return P, Q
+        for s in range(start, k):
+            acc = acc + X[s] * A.entry(s + 1, k)
+        X.append(acc)
+    return X
 
 
 def jacobi_matrix(ring: ScalarRing, diag: Sequence) -> NcMatrix:
@@ -159,18 +163,17 @@ def jacobi_matrix(ring: ScalarRing, diag: Sequence) -> NcMatrix:
 def jacobi_convergents(ring: ScalarRing, diag: Sequence):
     """Three-term recurrences of the tridiagonal case:
     P_k = P_{k-1} a_k + P_{k-2}, Q_k = Q_{k-1} a_k + Q_{k-2}."""
-    n = len(diag)
-    P = [ring.one]
-    if n >= 1:
-        P.append(ring.coerce(diag[0]))
-    for k in range(2, n + 1):
-        P.append(P[k - 1] * ring.coerce(diag[k - 1]) + P[k - 2])
-    Q = [None, ring.one]
-    if n >= 2:
-        Q.append(ring.coerce(diag[1]))
-    for k in range(3, n + 1):
-        Q.append(Q[k - 1] * ring.coerce(diag[k - 1]) + Q[k - 2])
-    return P, Q
+    return _three_term(ring, diag, 0), _three_term(ring, diag, 1)
+
+
+def _three_term(ring: ScalarRing, diag: Sequence, start: int) -> list:
+    """X_start = 1, X_{start+1} = a_{start+1} and X_k = X_{k-1} a_k + X_{k-2}
+    up to k = len(diag), with None below ``start``."""
+    X = [None] * start + [ring.one]
+    for k in range(start + 1, len(diag) + 1):
+        a = ring.coerce(diag[k - 1])
+        X.append(a if k == start + 1 else X[k - 1] * a + X[k - 2])
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +281,11 @@ def corner_alternating_sum(B: NcMatrix):
     by inverted subdiagonal steps, signed by the number of steps."""
     ring = B.ring
     n = B.n_rows
-    acc = ring.zero
-    for k in range(n):
-        for subset in combinations(range(1, n), k):
-            word = ring.one
-            row = 1
-            for j in subset:
-                word = word * B.entry(row, j) * ring.invert(B.entry(j + 1, j))
-                row = j + 1
-            word = word * B.entry(row, n)
-            if k % 2:
-                word = -word
-            acc = acc + word
-    return acc
+
+    def step(row, j):
+        return -(B.entry(row, j) * ring.invert(B.entry(j + 1, j)))
+
+    return _chains(B, step, 1, range(1, n), n)
 
 
 def general_corner_product(B: NcMatrix, i: int, j: int):

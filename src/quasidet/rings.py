@@ -27,6 +27,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .exactlin import invert_scaled
+
 
 class DomainError(Exception):
     """Raised when an inversion (or an operation built on one) is undefined.
@@ -38,10 +40,6 @@ class DomainError(Exception):
     def __init__(self, message: str, payload=None):
         super().__init__(message)
         self.payload = payload
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 class Rat(Fraction):
@@ -513,8 +511,6 @@ class SquareMatrices(ScalarRing):
         return a.num == _ZERO_NUM[a.d]
 
     def try_invert(self, a: MatScalar):
-        from .exactlin import invert_scaled
-
         inv = invert_scaled(a.num, (a.den,) * self.d)
         return None if inv is None else self.unflatten(inv)
 
@@ -548,7 +544,7 @@ class SquareMatrices(ScalarRing):
         return out
 
     def deserialize(self, obj):
-        return MatScalar([[_parse_fraction(x) for x in r] for r in obj])
+        return MatScalar([[Fraction(x) for x in r] for r in obj])
 
     def spec(self):
         return {"kind": "matrices", "d": self.d}
@@ -991,8 +987,8 @@ class QRationalFunctions(ScalarRing):
 
     def deserialize(self, obj):
         return QRat(
-            tuple(_parse_fraction(c) for c in obj["num"]),
-            tuple(_parse_fraction(c) for c in obj["den"]),
+            tuple(Fraction(c) for c in obj["num"]),
+            tuple(Fraction(c) for c in obj["den"]),
         )
 
     def spec(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .matrix import NcMatrix
 from .rings import DomainError, SampleProfile, ScalarRing
@@ -64,6 +64,20 @@ class Draw:
         self.profile = profile
         self.log: list = []
 
+    def until(self, make: Callable, accept: Callable, message: str):
+        """The first ``make()`` that ``accept`` takes, in at most 50 tries.
+        A ``DomainError`` from either call rejects a try.  Nothing is logged
+        here: a try is in the log exactly when ``make`` logs it, so a replay
+        walks through the same rejected tries."""
+        for _ in range(50):
+            try:
+                value = make()
+                if accept(value):
+                    return value
+            except DomainError:
+                pass
+        raise DomainError(message)
+
     # each method returns the value and appends its serialized form
 
     def scalar(self, ring: ScalarRing):
@@ -72,14 +86,13 @@ class Draw:
         return x
 
     def invertible_scalar(self, ring: ScalarRing):
-        for _ in range(50):
-            x = ring.random_element(self.rng, self.profile)
-            if ring.try_invert(x) is not None:
-                self.log.append(
-                    {"t": "scalar", "ring": ring.spec(), "v": ring.serialize(x)}
-                )
-                return x
-        raise DomainError(f"could not sample an invertible scalar in {ring.name}")
+        x = self.until(
+            lambda: ring.random_element(self.rng, self.profile),
+            lambda x: ring.try_invert(x) is not None,
+            f"could not sample an invertible scalar in {ring.name}",
+        )
+        self.log.append({"t": "scalar", "ring": ring.spec(), "v": ring.serialize(x)})
+        return x
 
     def matrix(self, ring, n_rows, n_cols, row_labels=None, col_labels=None):
         mat = sample_matrix(
@@ -89,15 +102,13 @@ class Draw:
         return mat
 
     def invertible_matrix(self, ring, n, labels=None):
-        for _ in range(50):
-            mat = sample_matrix(ring, n, n, self.rng, self.profile, labels, labels)
-            try:
-                mat.inverse()
-            except DomainError:
-                continue
-            self.log.append({"t": "matrix", "v": mat.serialize()})
-            return mat
-        raise DomainError(f"could not draw an invertible {n}x{n} matrix over {ring.name}")
+        mat = self.until(
+            lambda: sample_matrix(ring, n, n, self.rng, self.profile, labels, labels),
+            lambda mat: mat.inverse() is not None,  # a singular one raises
+            f"could not draw an invertible {n}x{n} matrix over {ring.name}",
+        )
+        self.log.append({"t": "matrix", "v": mat.serialize()})
+        return mat
 
     def assignment(self, names: Sequence[str], ring: ScalarRing) -> dict:
         sigma = sample_assignment(names, ring, self.rng, self.profile)

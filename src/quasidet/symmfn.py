@@ -55,22 +55,21 @@ def is_independent(ring: ScalarRing, values: Sequence) -> bool:
     return True
 
 
+def _conjugated(ring: ScalarRing, values: Sequence):
+    """The last value conjugated by the quasideterminant over all of them:
+    V v_m V^{-1} with V = V(v_1..v_m)."""
+    V = vandermonde(ring, values)
+    return V * values[-1] * ring.invert(V)
+
+
 def y_transform(ring: ScalarRing, xs: Sequence) -> list:
     """y_1 = x_1 and y_k = V x_k V^{-1} with V over the first k values."""
-    ys = [xs[0]]
-    for k in range(2, len(xs) + 1):
-        V = vandermonde(ring, xs[:k])
-        ys.append(V * xs[k - 1] * ring.invert(V))
-    return ys
+    return [xs[0]] + [_conjugated(ring, xs[:k]) for k in range(2, len(xs) + 1)]
 
 
 def z_transform(ring: ScalarRing, xs: Sequence, z) -> list:
     """z_1 = z and z_k = W z W^{-1}, W over the first k-1 values and z."""
-    zs = [z]
-    for k in range(2, len(xs) + 1):
-        W = vandermonde(ring, list(xs[: k - 1]) + [z])
-        zs.append(W * z * ring.invert(W))
-    return zs
+    return [z] + [_conjugated(ring, list(xs[: k - 1]) + [z]) for k in range(2, len(xs) + 1)]
 
 
 def hat_transform(ring: ScalarRing, xs: Sequence, z):
@@ -132,16 +131,21 @@ def _elementary_sums(ring: ScalarRing, ys: Sequence, up_to: int) -> list:
     """Lambda_1..Lambda_up_to over ys: Lambda_k is the sum over
     i_1 < ... < i_k of the descending word y_{i_k} ... y_{i_1}, zero for
     k > len(ys)."""
-    sums = []
-    for k in range(1, up_to + 1):
-        acc = ring.zero
-        for combo in combinations(range(len(ys)), k):
-            word = ring.one
-            for idx in reversed(combo):
-                word = word * ys[idx]
-            acc = acc + word
-        sums.append(acc)
-    return sums
+    return [
+        _word_sum(ring, ys, (combo[::-1] for combo in combinations(range(len(ys)), k)))
+        for k in range(1, up_to + 1)
+    ]
+
+
+def _word_sum(ring: ScalarRing, ys: Sequence, words):
+    """Sum over the index words of the products ys[w_1] ys[w_2] ..."""
+    acc = ring.zero
+    for word in words:
+        term = ring.one
+        for idx in word:
+            term = term * ys[idx]
+        acc = acc + term
+    return acc
 
 
 def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
@@ -211,7 +215,10 @@ def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series"
     """
     ys = y_transform(ring, xs)
     if route == "words":
-        return [_word_sum_nondecreasing(ring, ys, k) for k in range(1, up_to + 1)]
+        return [
+            _word_sum(ring, ys, combinations_with_replacement(range(len(ys)), k))
+            for k in range(1, up_to + 1)
+        ]
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
     lambdas = elementary_lambda(ring, xs)
@@ -225,16 +232,6 @@ def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series"
             coeffs.append(ring.zero)
     inverse = T.invert(T.element(coeffs))
     return [inverse.coeffs[i] for i in range(1, up_to + 1)]
-
-
-def _word_sum_nondecreasing(ring, ys, k):
-    acc = ring.zero
-    for word in combinations_with_replacement(range(len(ys)), k):
-        term = ring.one
-        for idx in word:
-            term = term * ys[idx]
-        acc = acc + term
-    return acc
 
 
 def descent_set(word: Sequence[int]) -> frozenset:
@@ -298,13 +295,7 @@ def _ribbon_words(n: int, J: Sequence[int]):
 
 
 def ribbon_from_ys(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
-    acc = ring.zero
-    for word in _ribbon_words(len(ys), J):
-        term = ring.one
-        for idx in word:
-            term = term * ys[idx]
-        acc = acc + term
-    return acc
+    return _word_sum(ring, ys, _ribbon_words(len(ys), J))
 
 
 def lambda_word_value(ring: ScalarRing, ys: Sequence, J: Sequence[int]):

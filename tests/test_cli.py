@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from quasidet.cli import main
+from quasidet.sampling import Draw
 
 
 @pytest.fixture
@@ -142,6 +143,27 @@ def test_symm_complete_and_ribbon(capsys):
     code = main(["symm", "--n", "2", "--d", "1", "--check", "ribbon", "--seed", "5"])
     assert code == 0
     assert "R_(1, 2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 1, 7), (3, 1, 0), (3, 2, 15), (4, 3, 24)])
+def test_symm_resamples_past_a_singular_minor(n, d, seed, capsys):
+    # each first independent draw meets a singular minor inside the check
+    code = main(["symm", "--n", str(n), "--d", str(d), "--check", "vieta", "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "coefficient routes agree: True" in out
+
+
+@pytest.mark.parametrize("command", [["symm", "--check", "vieta"], ["contfrac"]])
+def test_exhausted_resampling_exits_2(command, monkeypatch, capsys):
+    until = Draw.until
+    monkeypatch.setattr(
+        Draw, "until", lambda self, make, accept, message: until(self, make, lambda _: False, message)
+    )
+    assert main(command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("could not draw")
 
 
 def test_qpc_with_bordering_set(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 
 import pytest
@@ -61,6 +62,22 @@ class TestCatalog:
     def test_every_descriptor_names_operations(self):
         for desc in catalog():
             assert desc.operations, desc.ident
+
+    def test_every_operation_name_resolves(self):
+        # the report pins these strings: each is a module, a module
+        # attribute, or (under matrix) an NcMatrix method
+        def resolves(name):
+            mod, _, path = name.partition(".")
+            obj = importlib.import_module(f"quasidet.{mod}")
+            for part in path.split(".") if path else ():
+                if not hasattr(obj, part):
+                    return mod == "matrix" and hasattr(NcMatrix, path)
+                obj = getattr(obj, part)
+            return True
+
+        names = {op for desc in catalog() for op in desc.operations}
+        assert len(names) >= 57
+        assert sorted(op for op in names if not resolves(op)) == []
 
     def test_identity_decorator_returns_check_and_rejects_duplicate_ids(self):
         before = list(CATALOG)

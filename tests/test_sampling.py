@@ -1,6 +1,9 @@
 import random
 
-from quasidet.rings import Rationals, SquareMatrices
+import pytest
+
+from quasidet.catalog import CheckContext, _independent_values
+from quasidet.rings import DomainError, Rationals, SampleProfile, SquareMatrices
 from quasidet.sampling import (
     Draw,
     ReplayDraw,
@@ -62,3 +65,49 @@ def test_draw_log_replays_every_kind():
         replay.permutation(4),
     )
     assert replayed == values
+
+
+def test_until_rejects_false_accept_and_domain_errors():
+    draw = Draw(random.Random(0))
+    tries = iter(range(10))
+
+    def make():
+        k = next(tries)
+        if k == 1:
+            raise DomainError("make rejects try 1")
+        return k
+
+    def accept(k):
+        if k == 2:
+            raise DomainError("accept rejects try 2")
+        return k != 0
+
+    # try 0 fails accept, 1 and 2 raise, 3 is the first one taken
+    assert draw.until(make, accept, "never") == 3
+    assert next(tries) == 4
+
+
+def test_until_gives_up_after_fifty_tries():
+    draw = Draw(random.Random(0))
+    calls = []
+    with pytest.raises(DomainError, match="^nothing fits$"):
+        draw.until(lambda: calls.append(None), lambda _: False, "nothing fits")
+    assert len(calls) == 50
+    assert draw.log == []
+
+
+def test_rejected_tries_replay_through_the_log():
+    # integers in [-1, 1]: three of them repeat a value often, and a
+    # repeated value makes the sequence dependent over Q
+    ring, count = Rationals(), 3
+    for seed in range(100):
+        draw = Draw(random.Random(seed), SampleProfile(1, 1))
+        xs = _independent_values(CheckContext(draw=draw, ring=ring, n=count, d=1), count)
+        if len(draw.log) > count:
+            break
+    else:
+        pytest.fail("no seed below 100 rejected a try")
+    replay = ReplayDraw(draw.log)
+    ctx = CheckContext(draw=replay, ring=ring, n=count, d=1)
+    assert _independent_values(ctx, count) == xs
+    assert replay.pos == len(draw.log)
