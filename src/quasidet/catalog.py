@@ -136,29 +136,33 @@ def _pivot(ctx: CheckContext, A: NcMatrix):
 
 def _independent_values(ctx: CheckContext, count: int, perms=None):
     """Values whose leading power-matrix quasideterminants are all
-    invertible, in every order of ``perms`` (1-based) when it is given."""
+    invertible, in every order of ``perms`` (1-based) when it is given,
+    as (xs, [the y alphabet of xs in each order])."""
     ring = ctx.ring
     orders = perms or [range(1, count + 1)]
-    return ctx.draw.until(
-        lambda: [ctx.draw.scalar(ring) for _ in range(count)],
-        lambda xs: all(sf.is_independent(ring, [xs[p - 1] for p in order]) for order in orders),
-        "could not draw an independent sequence",
-    )
 
+    def make():
+        xs = [ctx.draw.scalar(ring) for _ in range(count)]
+        return xs, [sf.y_transform(ring, [xs[p - 1] for p in order]) for order in orders]
 
-def _tail_invertible(ring, xs, z) -> bool:
-    """V(x_1..x_m, z) invertible for every m from 1 to len(xs)."""
-    return all(
-        ring.try_invert(sf.vandermonde(ring, list(xs[:m]) + [z])) is not None
-        for m in range(1, len(xs) + 1)
-    )
+    return ctx.draw.until(make, lambda _: True, "could not draw an independent sequence")
 
 
 def _independent_with_z(ctx: CheckContext, count: int):
+    """Independent values xs and a tail value z with V(x_1..x_m, z)
+    invertible for every m from 1 to count, as (xs, z, ys, zs, V): the y
+    and z alphabets and V = V(x_1..x_n, z)."""
     ring = ctx.ring
+
+    def make():
+        xs = [ctx.draw.scalar(ring) for _ in range(count)]
+        z = ctx.draw.scalar(ring)
+        ys, zs = sf.y_transform(ring, xs), sf.z_transform(ring, xs, z)
+        return xs, z, ys, zs, sf.vandermonde(ring, xs + [z])
+
     return ctx.draw.until(
-        lambda: ([ctx.draw.scalar(ring) for _ in range(count)], ctx.draw.scalar(ring)),
-        lambda xz: sf.is_independent(ring, xz[0]) and _tail_invertible(ring, *xz),
+        make,
+        lambda drawn: ring.try_invert(drawn[-1]) is not None,
         "could not draw an independent sequence with tail value",
     )
 
@@ -744,14 +748,13 @@ def check_generalized_homological(ctx: CheckContext):
     L = ctx.draw.subset(labels, k)
     M = ctx.draw.subset(labels, k + 1)
     p = ctx.draw.choice([x for x in labels if x not in L])
-    for l in list(L) + [p]:
+    ls = list(L) + [p]
+    rows = homological_sum_rows(A, L, M, p, ls)
+    cols = homological_sum_cols(A, M, L, ls, p)
+    for l, row_sum, col_sum in zip(ls, rows, cols):
         want = ring.one if l == p else ring.zero
-        ctx.compare(
-            f"row-deleted-sum-l{l}", homological_sum_rows(A, L, M, p, l), want
-        )
-        ctx.compare(
-            f"col-deleted-sum-l{l}", homological_sum_cols(A, M, L, l, p), want
-        )
+        ctx.compare(f"row-deleted-sum-l{l}", row_sum, want)
+        ctx.compare(f"col-deleted-sum-l{l}", col_sum, want)
 
 
 @identity(
@@ -1362,7 +1365,7 @@ def check_flag(ctx: CheckContext):
     operations=("symmfn.vandermonde",),
 )
 def check_vandermonde_ratio(ctx: CheckContext):
-    xs = _independent_values(ctx, ctx.n)
+    xs, _ = _independent_values(ctx, ctx.n)
     V = sf.vandermonde(ctx.ring, xs)
     mat = sf.power_matrix(ctx.ring, xs)
     full = det_bareiss(mat.entries)
@@ -1381,21 +1384,17 @@ def check_vandermonde_ratio(ctx: CheckContext):
 )
 def check_bezout(ctx: CheckContext):
     ring = ctx.ring
-    n = ctx.n
-    xs, z = _independent_with_z(ctx, n)
-    lhs = sf.vandermonde(ring, list(xs) + [z])
-    ctx.compare("factorized-product", lhs, sf.bezout_product(ring, xs, z))
-    # same roots, nine more tail values
+    xs, _, ys, zs, V = _independent_with_z(ctx, ctx.n)
+    ctx.compare("factorized-product", V, sf.bezout_product(ring, ys, zs))
+    # same roots and y alphabet, nine more tail values
     for extra in range(9):
         z2 = ctx.draw.scalar(ring)
         try:
-            if not _tail_invertible(ring, xs[:-1], z2):
-                continue
-            lhs2 = sf.vandermonde(ring, list(xs) + [z2])
+            zs2 = sf.z_transform(ring, xs, z2)
             ctx.compare(
                 f"factorized-product-z{extra}",
-                lhs2,
-                sf.bezout_product(ring, xs, z2),
+                sf.vandermonde(ring, xs + [z2]),
+                sf.bezout_product(ring, ys, zs2),
             )
         except DomainError:
             continue
@@ -1411,11 +1410,10 @@ def check_bezout(ctx: CheckContext):
 )
 def check_hat(ctx: CheckContext):
     ring = ctx.ring
-    xs, z = _independent_with_z(ctx, ctx.n)
+    xs, z, _, _, V = _independent_with_z(ctx, ctx.n)
     hats, zhat = sf.hat_transform(ring, xs, z)
-    lhs = sf.vandermonde(ring, list(xs) + [z])
     rhs = sf.vandermonde(ring, hats + [zhat]) * (z - xs[0])
-    ctx.compare("difference-conjugation", lhs, rhs)
+    ctx.compare("difference-conjugation", V, rhs)
 
 
 @identity(
@@ -1433,8 +1431,7 @@ def check_hat(ctx: CheckContext):
 )
 def check_vieta_agree(ctx: CheckContext):
     ring = ctx.ring
-    xs = _independent_values(ctx, ctx.n)
-    ys = sf.y_transform(ring, xs)
+    xs, (ys,) = _independent_values(ctx, ctx.n)
     a_words = sf.vieta_from_y(ring, ys)
     a_ratio = sf.vieta_via_qdet(ring, xs)
     a_solved = sf.coeffs_from_roots(ring, xs)
@@ -1445,7 +1442,7 @@ def check_vieta_agree(ctx: CheckContext):
     for pos, x in enumerate(xs):
         ctx.compare(f"root-annihilated-{pos}", poly.evaluate(x), ring.zero)
     if ctx.d == 1:
-        lam = sf.elementary_lambda(ring, xs)
+        lam = sf.elementary_from_ys(ring, ys)
         for k in range(1, ctx.n + 1):
             classical = Fraction(0)
             for combo in combinations(xs, k):
@@ -1468,25 +1465,28 @@ def check_symmetry(ctx: CheckContext, family: str):
     perms = _all_perms(n) if n <= 3 else None
     if perms is None:
         perms = [tuple(ctx.draw.permutation(n)) for _ in range(10)]
-    xs = _independent_values(ctx, n, perms)
+    xs, yss = _independent_values(ctx, n, perms)
+    # each order's alphabet is rebuilt from the permuted inputs
+    ys_of = dict(zip(perms, yss))
+    base_ys = ys_of.get(tuple(range(1, n + 1))) or sf.y_transform(ring, xs)
     if family == "lambda":
-        base = sf.elementary_lambda(ring, xs)
+        base = sf.elementary_from_ys(ring, base_ys)
         for perm in perms:
-            permuted = sf.elementary_lambda(ring, [xs[p - 1] for p in perm])
+            permuted = sf.elementary_from_ys(ring, ys_of[perm])
             for k in range(n):
                 ctx.compare(f"perm-{perm}-k{k + 1}", permuted[k], base[k])
     elif family == "complete":
-        base = sf.complete_s(ring, xs, 3, route="words")
+        base = sf.complete_from_ys(ring, base_ys, 3, route="words")
         for perm in perms:
-            permuted = sf.complete_s(ring, [xs[p - 1] for p in perm], 3, route="words")
+            permuted = sf.complete_from_ys(ring, ys_of[perm], 3, route="words")
             for k in range(3):
                 ctx.compare(f"perm-{perm}-k{k + 1}", permuted[k], base[k])
     elif family == "ribbon":
         comps = [J for J in sf.compositions(3)] + [(2, 2)]
         J = comps[ctx.draw.int_range(0, len(comps) - 1)]
-        base = sf.ribbon_schur(ring, xs, J)
+        base = sf.ribbon_from_ys(ring, base_ys, J)
         for perm in perms:
-            permuted = sf.ribbon_schur(ring, [xs[p - 1] for p in perm], J)
+            permuted = sf.ribbon_from_ys(ring, ys_of[perm], J)
             ctx.compare(f"perm-{perm}", permuted, base)
 
 
@@ -1529,10 +1529,7 @@ identity(
     operations=("symmfn.y_transform",),
 )
 def check_asym_y1y2(ctx: CheckContext):
-    ring = ctx.ring
-    xs = _independent_values(ctx, 2, [(1, 2), (2, 1)])
-    ys = sf.y_transform(ring, xs)
-    ys_swapped = sf.y_transform(ring, xs[::-1])
+    _, (ys, ys_swapped) = _independent_values(ctx, 2, [(1, 2), (2, 1)])
     ctx.compare("ordered-pair-product", ys[0] * ys[1], ys_swapped[0] * ys_swapped[1])
 
 
@@ -1546,14 +1543,12 @@ def check_asym_y1y2(ctx: CheckContext):
     operations=("symmfn.y_transform",),
 )
 def check_asym_s2_wrong(ctx: CheckContext):
-    ring = ctx.ring
-    xs = _independent_values(ctx, 2, [(1, 2), (2, 1)])
+    _, (ys, ys_swapped) = _independent_values(ctx, 2, [(1, 2), (2, 1)])
 
-    def wrong_s2(vals):
-        y = sf.y_transform(ring, vals)
+    def wrong_s2(y):
         return y[0] * y[0] + y[1] * y[0] + y[1] * y[1]
 
-    ctx.compare("misordered-degree-two-sum", wrong_s2(xs), wrong_s2(xs[::-1]))
+    ctx.compare("misordered-degree-two-sum", wrong_s2(ys), wrong_s2(ys_swapped))
 
 
 @identity(
@@ -1567,10 +1562,10 @@ def check_asym_s2_wrong(ctx: CheckContext):
 )
 def check_s_routes(ctx: CheckContext):
     ring = ctx.ring
-    xs = _independent_values(ctx, ctx.n)
+    _, (ys,) = _independent_values(ctx, ctx.n)
     deg = 5
-    s_series = sf.complete_s(ring, xs, deg, route="series")
-    s_words = sf.complete_s(ring, xs, deg, route="words")
+    s_series = sf.complete_from_ys(ring, ys, deg, route="series")
+    s_words = sf.complete_from_ys(ring, ys, deg, route="words")
     for k in range(deg):
         ctx.compare(f"degree-{k + 1}", s_series[k], s_words[k])
 
@@ -1592,8 +1587,8 @@ def check_ribbon_basis(ctx: CheckContext):
     comps = list(sf.compositions(m))
     points = []
     for _ in range(max(3, (2 ** (m - 1) + ring.flat_dim ** 2 - 1) // (ring.flat_dim ** 2) + 1)):
-        xs = _independent_values(ctx, m)
-        points.append(sf.y_transform(ring, xs))
+        _, (ys,) = _independent_values(ctx, m)
+        points.append(ys)
     vectors = []
     for J in comps:
         vec = []
@@ -1629,15 +1624,13 @@ def check_derivation(ctx: CheckContext):
     T = sf.dual_shift_ring(ctx.ring)
     base = T.base
     k_max = min(ctx.n, 4)
-    lifted = ctx.draw.until(
-        lambda: [sf.shift_by_unit(T, ctx.draw.scalar(base)) for _ in range(k_max)],
-        lambda values: sf.is_independent(T, values),
+    ys, Vs = ctx.draw.until(
+        lambda: sf.y_chain(T, [sf.shift_by_unit(T, ctx.draw.scalar(base)) for _ in range(k_max)]),
+        lambda _: True,
         "no independent shifted sequence",
     )
-    for k in range(2, k_max + 1):
-        V = sf.vandermonde(T, lifted[:k])
+    for k, V in enumerate(Vs, start=2):
         ctx.compare(f"shift-coefficient-V{k}", V.coeffs[1], base.zero, base)
-    ys = sf.y_transform(T, lifted)
     for pos, y in enumerate(ys):
         ctx.compare(f"shift-coefficient-y{pos + 1}", y.coeffs[1], base.one, base)
 
@@ -1811,13 +1804,10 @@ def check_almost_triangular_d(ctx: CheckContext):
 def check_almost_triangular_qdet(ctx: CheckContext):
     n = ctx.n
     B = cf.draw_almost_triangular(ctx.draw, ctx.ring, n, general_subdiag=True)
+    products = cf.general_corner_products(B)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            ctx.compare(
-                f"pivot-{i}{j}",
-                qdet(B, i, j),
-                cf.general_corner_product(B, i, j),
-            )
+            ctx.compare(f"pivot-{i}{j}", qdet(B, i, j), products[(i, j)])
 
 
 # ---------------------------------------------------------------------------

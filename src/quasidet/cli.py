@@ -116,53 +116,57 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
-def _symm_check(check: str, ring, xs: list, z):
-    """(passed, output lines) of one symm check on independent xs."""
+def _symm_check(check: str, ring, xs: list, z, ys: list):
+    """(passed, output lines) of one symm check on independent xs with
+    y alphabet ys."""
     if check == "vieta":
         a = sf.vieta_via_qdet(ring, xs)
-        b = sf.vieta_from_y(ring, sf.y_transform(ring, xs))
+        b = sf.vieta_from_y(ring, ys)
         c = sf.coeffs_from_roots(ring, xs)
         agree = a == b == c
         return agree, [f"coefficient routes agree: {agree}"] + [
             f"  a_{k} = {ring.serialize(v)}" for k, v in enumerate(a, start=1)
         ]
     if check == "bezout":
-        exact = ring.equals(sf.vandermonde(ring, xs + [z]), sf.bezout_product(ring, xs, z))
+        product = sf.bezout_product(ring, ys, sf.z_transform(ring, xs, z))
+        exact = ring.equals(sf.vandermonde(ring, xs + [z]), product)
         return exact, [f"factorization exact: {exact}"]
     if check == "lambda":
-        lams = sf.elementary_lambda(ring, xs)
+        lams = sf.elementary_from_ys(ring, ys)
         return True, [f"Lambda_{k} = {ring.serialize(v)}" for k, v in enumerate(lams, start=1)]
     if check == "complete":
-        s1 = sf.complete_s(ring, xs, 4, route="series")
-        agree = s1 == sf.complete_s(ring, xs, 4, route="words")
+        s1 = sf.complete_from_ys(ring, ys, 4, route="series")
+        agree = s1 == sf.complete_from_ys(ring, ys, 4, route="words")
         return agree, [f"series and word routes agree: {agree}"] + [
             f"  S_{k} = {ring.serialize(v)}" for k, v in enumerate(s1, start=1)
         ]
     return True, [
-        f"R_{J} = {ring.serialize(sf.ribbon_schur(ring, xs, J))}" for J in sf.compositions(3)
+        f"R_{J} = {ring.serialize(sf.ribbon_from_ys(ring, ys, J))}" for J in sf.compositions(3)
     ]
 
 
 def _resampled(draw, make, message):
-    """The first ``make()`` that neither returns None nor raises a
-    ``DomainError``, or None after printing ``message`` when 50 are."""
+    """The first ``make()`` that raises no ``DomainError``, or None after
+    printing ``message`` when 50 do."""
     try:
-        return draw.until(make, lambda result: result is not None, message)
+        return draw.until(make, lambda _: True, message)
     except DomainError:
         print(message, file=sys.stderr)
         return None
 
 
 def _cmd_symm(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     ring = ring_for_dimension(args.d)
     draw = Draw(substream(args.seed, "cli-symm", args.n, args.d))
 
     def make():
         xs = [draw.scalar(ring) for _ in range(args.n)]
         z = draw.scalar(ring)
-        if sf.is_independent(ring, xs) and sf.is_independent(ring, xs + [z]):
-            return _symm_check(args.check, ring, xs, z)
-        return None
+        # raises unless xs and xs + [z] are independent; y_k reads only x_1..x_k
+        ys = sf.y_transform(ring, xs + [z])[:-1]
+        return _symm_check(args.check, ring, xs, z, ys)
 
     result = _resampled(draw, make, "could not draw an independent sequence")
     if result is None:

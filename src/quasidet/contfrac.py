@@ -261,18 +261,21 @@ def d_product(B: NcMatrix, start: int, end: int):
     """D(start..end): alternating product of trailing-corner
     quasideterminants and inverted subdiagonal entries of the principal
     submatrix on labels start..end; D over an empty range is one."""
-    ring = B.ring
     if start > end:
-        return ring.one
-    labels = list(range(start, end + 1))
-    acc = None
-    for k in labels:
-        sub = B.select(range(k, end + 1), range(k, end + 1))
-        factor = qdet(sub, k, k)
-        acc = factor if acc is None else acc * factor
-        if k < end:
-            acc = acc * ring.invert(B.entry(k + 1, k))
-    return acc
+        return B.ring.one
+    return _d_suffixes(B, start, end)[start]
+
+
+def _d_suffixes(B: NcMatrix, start: int, end: int) -> dict:
+    """D(k..end) for every k in start..end, built from the right by
+    D(k..end) = |B_{k..end,k..end}|_kk b_{k+1,k}^{-1} D(k+1..end): one
+    ``qdet`` per trailing corner value above the 1 x 1 corner b_{end,end}."""
+    ring = B.ring
+    corners = [qdet(B.select(range(k, end + 1), range(k, end + 1)), k, k) for k in range(start, end)]
+    out = {end: B.entry(end, end)}
+    for k in range(end - 1, start - 1, -1):
+        out[k] = corners[k - start] * ring.invert(B.entry(k + 1, k)) * out[k + 1]
+    return out
 
 
 def corner_alternating_sum(B: NcMatrix):
@@ -288,25 +291,31 @@ def corner_alternating_sum(B: NcMatrix):
     return _chains(B, step, 1, range(1, n), n)
 
 
-def general_corner_product(B: NcMatrix, i: int, j: int):
-    """Every quasideterminant at (i, j), i <= j, as a product of D values:
+def general_corner_products(B: NcMatrix) -> dict:
+    """Every quasideterminant at (i, j), i <= j, keyed by (i, j), as a
+    product of D values:
     (-1)^(j-i) [b_{i,i-1}] D(1..i-1)^{-1} D(1..n) D(j+1..n)^{-1} [b_{j+1,j}],
     the bracketed subdiagonal factors present only when the flanking
-    ranges are nonempty."""
+    ranges are nonempty.  One table of trailing corner values gives
+    D(1..n) and every D(j+1..n); each D(1..m), m < n, is computed and
+    inverted once."""
     ring = B.ring
     n = B.n_rows
-    if i > j:
-        raise ValueError("defined only on and above the diagonal")
-    value = d_product(B, 1, n)
-    if i > 1:
-        value = ring.invert(d_product(B, 1, i - 1)) * value
-        value = B.entry(i, i - 1) * value
-    if j < n:
-        value = value * ring.invert(d_product(B, j + 1, n))
-        value = value * B.entry(j + 1, j)
-    if (j - i) % 2:
-        value = -value
-    return value
+    tail = _d_suffixes(B, 1, n)
+    # left[i] = b_{i,i-1} D(1..i-1)^{-1}, right[j] = D(j+1..n)^{-1} b_{j+1,j}
+    left = {i: B.entry(i, i - 1) * ring.invert(d_product(B, 1, i - 1)) for i in range(2, n + 1)}
+    right = {j: ring.invert(tail[j + 1]) * B.entry(j + 1, j) for j in range(1, n)}
+    values = {}
+    for i in range(1, n + 1):
+        row = tail[1] if i == 1 else left[i] * tail[1]
+        for j in range(i, n + 1):
+            value = row if j == n else row * right[j]
+            values[(i, j)] = -value if (j - i) % 2 else value
+    return values
+
+
+# the name ALMOST-TRIANGULAR-QDET lists among its operations in the pinned report
+general_corner_product = general_corner_products
 
 
 # ---------------------------------------------------------------------------

@@ -278,12 +278,14 @@ def jacobi_factors(A: NcMatrix, P: Sequence, Q: Sequence, k, l):
     return first, second
 
 
-def homological_sum_rows(A: NcMatrix, L: Sequence, M: Sequence, p, l):
-    """sum_i qdet(A^{L, M\\{m_i}})_{p, m_i} * qdet(A)_{l, m_i}^{-1}.
+def homological_sum_rows(A: NcMatrix, L: Sequence, M: Sequence, p, ls: Sequence) -> list:
+    """For each l in ``ls``:
+    sum_i qdet(A^{L, M\\{m_i}})_{p, m_i} * qdet(A)_{l, m_i}^{-1}.
 
     L is a set of row labels with p outside L, M a set of |L| + 1 column
-    labels.  The value is one when p == l and zero otherwise (checked at
-    configurations the harness has verified).
+    labels.  Each value is one when p == l and zero otherwise (checked at
+    configurations the harness has verified).  Each deleted-set
+    quasiminor is computed once, for every l.
     """
     ring = A.ring
     M = list(M)
@@ -291,17 +293,17 @@ def homological_sum_rows(A: NcMatrix, L: Sequence, M: Sequence, p, l):
         raise ValueError("need |M| = |L| + 1")
     if p in set(L):
         raise ValueError("p must lie outside L")
-    acc = ring.zero
+    sums = [ring.zero] * len(ls)
     for m_i in M:
-        M_i = [m for m in M if m != m_i]
-        sub = A.delete_sets(L, M_i)
-        term = qdet(sub, p, m_i) * ring.invert(qdet(A, l, m_i))
-        acc = acc + term
-    return acc
+        minor = qdet(A.delete_sets(L, [m for m in M if m != m_i]), p, m_i)
+        for pos, l in enumerate(ls):
+            sums[pos] = sums[pos] + minor * ring.invert(qdet(A, l, m_i))
+    return sums
 
 
-def homological_sum_cols(A: NcMatrix, M: Sequence, L: Sequence, l, p):
-    """sum_i qdet(A)_{m_i, l}^{-1} * qdet(A^{M\\{m_i}, L})_{m_i, p}.
+def homological_sum_cols(A: NcMatrix, M: Sequence, L: Sequence, ls: Sequence, p) -> list:
+    """For each l in ``ls``:
+    sum_i qdet(A)_{m_i, l}^{-1} * qdet(A^{M\\{m_i}, L})_{m_i, p}.
 
     Transposed-role companion of ``homological_sum_rows``: M is a set of
     row labels, L a set of column labels with p outside L.
@@ -312,13 +314,12 @@ def homological_sum_cols(A: NcMatrix, M: Sequence, L: Sequence, l, p):
         raise ValueError("need |M| = |L| + 1")
     if p in set(L):
         raise ValueError("p must lie outside L")
-    acc = ring.zero
+    sums = [ring.zero] * len(ls)
     for m_i in M:
-        M_i = [m for m in M if m != m_i]
-        sub = A.delete_sets(M_i, L)
-        term = ring.invert(qdet(A, m_i, l)) * qdet(sub, m_i, p)
-        acc = acc + term
-    return acc
+        minor = qdet(A.delete_sets([m for m in M if m != m_i], L), m_i, p)
+        for pos, l in enumerate(ls):
+            sums[pos] = sums[pos] + ring.invert(qdet(A, m_i, l)) * minor
+    return sums
 
 
 def replace_col(A: NcMatrix, j, column: Sequence) -> NcMatrix:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .matrix import NcMatrix
 from .qdet import qdet
-from .rings import DomainError, ScalarRing, TruncatedSeriesRing
+from .rings import ScalarRing, TruncatedSeriesRing
 
 
 def scalar_power(ring: ScalarRing, x, k: int):
@@ -43,33 +43,34 @@ def vandermonde(ring: ScalarRing, values: Sequence):
     return qdet(power_matrix(ring, values), 1, m)
 
 
-def is_independent(ring: ScalarRing, values: Sequence) -> bool:
-    """All leading power-matrix quasideterminants defined and invertible."""
-    for k in range(2, len(values) + 1):
-        try:
-            v = vandermonde(ring, values[:k])
-        except DomainError:
-            return False
-        if ring.try_invert(v) is None:
-            return False
-    return True
-
-
-def _conjugated(ring: ScalarRing, values: Sequence):
-    """The last value conjugated by the quasideterminant over all of them:
-    V v_m V^{-1} with V = V(v_1..v_m)."""
-    V = vandermonde(ring, values)
-    return V * values[-1] * ring.invert(V)
+def y_chain(ring: ScalarRing, xs: Sequence) -> tuple:
+    """The transformed alphabet with the prefix chain it conjugates by:
+    (ys, Vs) with y_1 = x_1, y_k = V_k x_k V_k^{-1} and Vs the
+    V_k = V(x_1..x_k) for k = 2..n.  Raises DomainError at the first V_k,
+    in order of k, that is undefined or not invertible: it returns
+    exactly when the xs are independent."""
+    ys, Vs = [xs[0]], []
+    for k in range(2, len(xs) + 1):
+        V = vandermonde(ring, xs[:k])
+        ys.append(V * xs[k - 1] * ring.invert(V))
+        Vs.append(V)
+    return ys, Vs
 
 
 def y_transform(ring: ScalarRing, xs: Sequence) -> list:
-    """y_1 = x_1 and y_k = V x_k V^{-1} with V over the first k values."""
-    return [xs[0]] + [_conjugated(ring, xs[:k]) for k in range(2, len(xs) + 1)]
+    """y_1 = x_1 and y_k = V x_k V^{-1} with V over the first k values;
+    DomainError exactly when the xs are not independent."""
+    return y_chain(ring, xs)[0]
 
 
 def z_transform(ring: ScalarRing, xs: Sequence, z) -> list:
-    """z_1 = z and z_k = W z W^{-1}, W over the first k-1 values and z."""
-    return [z] + [_conjugated(ring, list(xs[: k - 1]) + [z]) for k in range(2, len(xs) + 1)]
+    """z_1 = z and z_k = W z W^{-1}, W over the first k-1 values and z;
+    DomainError at the first W that is undefined or not invertible."""
+    zs = [z]
+    for m in range(1, len(xs)):
+        W = vandermonde(ring, [*xs[:m], z])
+        zs.append(W * z * ring.invert(W))
+    return zs
 
 
 def hat_transform(ring: ScalarRing, xs: Sequence, z):
@@ -88,13 +89,12 @@ def hat_transform(ring: ScalarRing, xs: Sequence, z):
     return hats, zhat
 
 
-def bezout_product(ring: ScalarRing, xs: Sequence, z):
-    """(z_n - y_n) ... (z_1 - y_1), the factorization of V(x_1..x_n, z)."""
-    ys = y_transform(ring, xs)
-    zs = z_transform(ring, xs, z)
+def bezout_product(ring: ScalarRing, ys: Sequence, zs: Sequence):
+    """(z_n - y_n) ... (z_1 - y_1), the factorization of V(x_1..x_n, z),
+    over ys = y_transform(xs) and zs = z_transform(xs, z)."""
     acc = ring.one
-    for k in range(len(xs), 0, -1):
-        acc = acc * (zs[k - 1] - ys[k - 1])
+    for y, z in zip(reversed(ys), reversed(zs)):
+        acc = acc * (z - y)
     return acc
 
 
@@ -151,7 +151,7 @@ def _word_sum(ring: ScalarRing, ys: Sequence, words):
 def vieta_from_y(ring: ScalarRing, ys: Sequence) -> list:
     """Coefficients a_1..a_n as signed descending-index sums of y words:
     a_k = (-1)^k Lambda_k(ys)."""
-    lams = _elementary_sums(ring, ys, len(ys))
+    lams = elementary_from_ys(ring, ys)
     return [-lam if k % 2 else lam for k, lam in enumerate(lams, start=1)]
 
 
@@ -202,18 +202,28 @@ def annihilation_poly(ring: ScalarRing, coeffs: Sequence) -> CentralPoly:
 
 def elementary_lambda(ring: ScalarRing, xs: Sequence) -> list:
     """Unsigned descending word sums over the transformed alphabet."""
-    return _elementary_sums(ring, y_transform(ring, xs), len(xs))
+    return elementary_from_ys(ring, y_transform(ring, xs))
+
+
+def elementary_from_ys(ring: ScalarRing, ys: Sequence) -> list:
+    """Lambda_1..Lambda_n over the alphabet ys."""
+    return _elementary_sums(ring, ys, len(ys))
 
 
 def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series") -> list:
-    """Complete functions S_1..S_m.
+    """Complete functions S_1..S_m over the transformed alphabet; see
+    ``complete_from_ys`` for the routes."""
+    return complete_from_ys(ring, y_transform(ring, xs), up_to, route)
+
+
+def complete_from_ys(ring: ScalarRing, ys: Sequence, up_to: int, route: str = "series") -> list:
+    """Complete functions S_1..S_m over the alphabet ys.
 
     route "series": invert the alternating-sign generating polynomial of
     the elementary family in a truncated series ring (central variable).
     route "words": sum y words with nondecreasing indices.  The two
     agree exactly.
     """
-    ys = y_transform(ring, xs)
     if route == "words":
         return [
             _word_sum(ring, ys, combinations_with_replacement(range(len(ys)), k))
@@ -221,7 +231,7 @@ def complete_s(ring: ScalarRing, xs: Sequence, up_to: int, route: str = "series"
         ]
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
-    lambdas = elementary_lambda(ring, xs)
+    lambdas = elementary_from_ys(ring, ys)
     T = TruncatedSeriesRing(ring, up_to)
     coeffs = [ring.one]
     for i in range(1, up_to + 1):
@@ -262,10 +272,7 @@ def compositions(m: int):
 
 def ribbon_schur(ring: ScalarRing, xs: Sequence, J: Sequence[int]) -> object:
     """Sum of y words whose descent set matches the composition exactly."""
-    if not J or any(p < 1 for p in J):
-        raise ValueError("composition parts must be positive")
-    ys = y_transform(ring, xs)
-    return ribbon_from_ys(ring, ys, J)
+    return ribbon_from_ys(ring, y_transform(ring, xs), J)
 
 
 def _ribbon_words(n: int, J: Sequence[int]):
@@ -295,6 +302,9 @@ def _ribbon_words(n: int, J: Sequence[int]):
 
 
 def ribbon_from_ys(ring: ScalarRing, ys: Sequence, J: Sequence[int]):
+    """Sum of words over the alphabet ys whose descent set is that of J."""
+    if not J or any(p < 1 for p in J):
+        raise ValueError("composition parts must be positive")
     return _word_sum(ring, ys, _ribbon_words(len(ys), J))
 
 

@@ -247,15 +247,32 @@ def test_criterion_8_harness_integrity(full_report, tmp_path):
 # sorted keys; a change to any verdict, cell, draw or counterexample moves it
 DEFAULT_REPORT_SHA256 = "05eb4d8172cbf61bfbfb7b8ac979dfeabc87fded23418a95ca3e668c84d44324"
 
+# the same digest at two held-out seeds, three samples per cell: which
+# tries the draw helpers reject shows in every cell's attempt count
+HELD_OUT_REPORT_SHA256 = {
+    0xBEEF: "c2d0872df971beac5beef344da8c49da1718a5420c8b72ff28e95a45e946d1ad",
+    1: "f854a0c7af41760bcd46427474820bc34b45151dd2908261364abdbdd8499b69",
+}
+
+
+def _report_digest(report: dict) -> str:
+    stripped = {k: v for k, v in report.items() if k != "elapsed_s"}
+    return hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest()
+
 
 def test_criterion_9_default_report_is_pinned(full_report):
-    report = {k: v for k, v in full_report.items() if k != "elapsed_s"}
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    digest = _report_digest(full_report)
     _announce(
         9,
         f"default-seed report byte-identical to the pinned one (sha256 {digest[:8]})",
         digest == DEFAULT_REPORT_SHA256,
     )
+
+
+@pytest.mark.parametrize("seed", sorted(HELD_OUT_REPORT_SHA256))
+def test_held_out_seed_reports_are_pinned(seed):
+    digest = _report_digest(run_suite(RunConfig(seed=seed, samples=3)))
+    assert digest == HELD_OUT_REPORT_SHA256[seed]
 
 
 def test_full_run_meets_expectations(full_report):

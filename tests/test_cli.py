@@ -213,6 +213,15 @@ def test_nonpositive_sample_counts_are_usage_errors(flag, value, capsys):
     assert "must be >= 1" in err
 
 
+@pytest.mark.parametrize("check", ["vieta", "bezout", "lambda", "complete", "ribbon"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_symm_size_below_one_is_a_usage_error(check, value, capsys):
+    assert main(["symm", "--n", value, "--check", check]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: n must be >= 1, got {value}\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--dims", "7"), ("--sizes", "99")])
 def test_filters_leaving_no_cell_fail_the_run(flag, value, capsys):
     assert main(["verify", "--only", "QDET-DEF-AGREE", flag, value]) == 1

@@ -15,7 +15,7 @@ from quasidet.contfrac import (
     d_product,
     descending_diagonal_product,
     draw_almost_triangular,
-    general_corner_product,
+    general_corner_products,
     graded_series_matrix,
     heisenberg_diagonal,
     jacobi_convergents,
@@ -300,11 +300,38 @@ class TestCornerProducts:
         while hits < 2:
             B = draw_almost_triangular(Draw(rng), M2, n, general_subdiag=True)
             try:
+                products = general_corner_products(B)
                 for i in range(1, n + 1):
                     for j in range(i, n + 1):
-                        assert qdet(B, i, j) == general_corner_product(B, i, j)
+                        assert qdet(B, i, j) == products[(i, j)]
             except DomainError:
                 continue
+            hits += 1
+
+    @pytest.mark.parametrize("ring_name", ["Q", "M2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_corner_table_matches_per_pair_formula(self, n, ring_name, rng, request):
+        # every (i, j) entry of the table against the direct quasideterminant
+        # and against the D-value formula evaluated pair by pair
+        ring = request.getfixturevalue(ring_name)
+        hits = 0
+        while hits < 2:
+            B = draw_almost_triangular(Draw(rng), ring, n, general_subdiag=True)
+            try:
+                products = general_corner_products(B)
+                for i in range(1, n + 1):
+                    for j in range(i, n + 1):
+                        value = d_product(B, 1, n)
+                        if i > 1:
+                            value = B.entry(i, i - 1) * ring.invert(d_product(B, 1, i - 1)) * value
+                        if j < n:
+                            value = value * ring.invert(d_product(B, j + 1, n)) * B.entry(j + 1, j)
+                        want = -value if (j - i) % 2 else value
+                        assert products[(i, j)] == want
+                        assert products[(i, j)] == qdet(B, i, j)
+            except DomainError:
+                continue
+            assert sorted(products) == [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
             hits += 1
 
 

@@ -358,3 +358,31 @@ class TestRunSemantics:
         entry = report["identities"][0]
         assert {"id", "module", "statement", "status", "cells"} <= set(entry)
         json.dumps(report)  # JSON-serializable end to end
+
+
+class TestRepeatedQuasideterminants:
+    # a repeat is a minor-inverse call on a (labels, entries, pivot) key that
+    # the same identity already computed; what is left is a direct route
+    # recomputing a value its compared route also holds, and 1 x 1 entries
+    # that recur across samples
+    @pytest.mark.parametrize(
+        "ident,repeats",
+        [("ALMOST-TRIANGULAR-QDET", 16), ("BEZOUT-FACTOR", 10), ("S-ROUTE-AGREE", 0)],
+    )
+    def test_repeat_count_is_pinned(self, ident, repeats, monkeypatch):
+        qdet_module = importlib.import_module("quasidet.qdet")
+        minor_inverse = qdet_module._qdet_minor_inverse
+        seen, counts = set(), {"calls": 0, "repeats": 0}
+
+        def counting(A, p, q):
+            key = (A.row_labels, A.col_labels, A.entries, p, q)
+            counts["calls"] += 1
+            counts["repeats"] += key in seen
+            seen.add(key)
+            return minor_inverse(A, p, q)
+
+        monkeypatch.setattr(qdet_module, "_qdet_minor_inverse", counting)
+        verdict = run_identity(get_identity(ident), RunConfig(samples=2, dims=[1, 2]))
+        assert verdict.status == "verified"
+        assert counts["calls"] > 0
+        assert counts["repeats"] == repeats

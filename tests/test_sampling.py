@@ -102,12 +102,12 @@ def test_rejected_tries_replay_through_the_log():
     ring, count = Rationals(), 3
     for seed in range(100):
         draw = Draw(random.Random(seed), SampleProfile(1, 1))
-        xs = _independent_values(CheckContext(draw=draw, ring=ring, n=count, d=1), count)
+        drawn = _independent_values(CheckContext(draw=draw, ring=ring, n=count, d=1), count)
         if len(draw.log) > count:
             break
     else:
         pytest.fail("no seed below 100 rejected a try")
     replay = ReplayDraw(draw.log)
     ctx = CheckContext(draw=replay, ring=ring, n=count, d=1)
-    assert _independent_values(ctx, count) == xs
+    assert _independent_values(ctx, count) == drawn
     assert replay.pos == len(draw.log)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
 from oracles import (
     complete_classical,
     elementary_classical,
@@ -14,20 +16,22 @@ from quasidet.symmfn import (
     annihilation_poly,
     bezout_product,
     coeffs_from_roots,
+    complete_from_ys,
     complete_s,
     composition_descents,
     compositions,
     descent_set,
     dual_shift_ring,
+    elementary_from_ys,
     elementary_lambda,
     hat_transform,
-    is_independent,
     ribbon_from_ys,
     ribbon_schur,
     shift_by_unit,
     vandermonde,
     vieta_from_y,
     vieta_via_qdet,
+    y_chain,
     y_transform,
     z_transform,
 )
@@ -36,28 +40,21 @@ from quasidet.symmfn import (
 def draw_independent(ring, n, rng, tries=200):
     for _ in range(tries):
         xs = [ring.random_element(rng) for _ in range(n)]
-        if is_independent(ring, xs):
-            return xs
+        try:
+            y_transform(ring, xs)
+        except DomainError:
+            continue
+        return xs
     raise AssertionError("no independent sequence found")
 
 
 def draw_independent_with_z(ring, n, rng, tries=300):
+    # z_transform inverts V(x_1..x_m, z) for m < n; V(x_1..x_n, z) last
     for _ in range(tries):
         xs = draw_independent(ring, n, rng)
         z = ring.random_element(rng)
-        ok = True
-        for k in range(2, n + 1):
-            try:
-                W = vandermonde(ring, xs[: k - 1] + [z])
-            except DomainError:
-                ok = False
-                break
-            if ring.try_invert(W) is None:
-                ok = False
-                break
-        if not ok:
-            continue
         try:
+            z_transform(ring, xs, z)
             V = vandermonde(ring, xs + [z])
         except DomainError:
             continue
@@ -103,6 +100,32 @@ class TestTransforms:
             V = vandermonde(M2, xs[:k])
             assert V * xs[k - 1] == ys[k - 1] * V
 
+    def test_chain_is_the_prefix_quasideterminants(self, rng, M2):
+        xs = draw_independent(M2, 4, rng)
+        ys, Vs = y_chain(M2, xs)
+        assert ys == y_transform(M2, xs)
+        assert Vs == [vandermonde(M2, xs[:k]) for k in (2, 3, 4)]
+
+    def test_dependent_values_raise_at_the_first_singular_prefix(self, rng, Q, M2):
+        # V(1, 2) = 1 is invertible, V(1, 2, 1) = 0 is not
+        with pytest.raises(DomainError):
+            y_transform(Q, [Fraction(1), Fraction(2), Fraction(1)])
+        x = M2.random_element(rng)
+        with pytest.raises(DomainError):
+            y_chain(M2, [x, x])
+        # a singular prefix stops the chain before any longer prefix is built
+        calls = []
+
+        def counting(ring, values):
+            calls.append(len(values))
+            return vandermonde(ring, values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("quasidet.symmfn.vandermonde", counting)
+            with pytest.raises(DomainError):
+                y_transform(Q, [Fraction(1), Fraction(1), Fraction(3)])
+        assert calls == [2]
+
     def test_hat_contract_base_case(self, rng, M2):
         # one value: the hatted product degenerates to (z - x1) itself
         hits = 0
@@ -140,14 +163,14 @@ class TestBezout:
     def test_base_case(self, rng, M2):
         x1 = M2.random_element(rng)
         z = M2.random_element(rng)
-        assert bezout_product(M2, [x1], z) == z - x1
+        assert bezout_product(M2, [x1], [z]) == z - x1
 
     def test_commutative_product_of_linear_factors(self, rng, Q):
         xs, z = draw_independent_with_z(Q, 3, rng)
         want = Fraction(1)
         for x in xs:
             want *= z - x
-        assert bezout_product(Q, xs, z) == want
+        assert bezout_product(Q, y_transform(Q, xs), z_transform(Q, xs, z)) == want
 
     def test_matrix_scalars(self, rng, M2):
         hits = 0
@@ -157,7 +180,7 @@ class TestBezout:
             except AssertionError:
                 continue
             lhs = vandermonde(M2, xs + [z])
-            assert lhs == bezout_product(M2, xs, z)
+            assert lhs == bezout_product(M2, y_transform(M2, xs), z_transform(M2, xs, z))
             hits += 1
 
 
@@ -228,6 +251,13 @@ class TestSymmetricFamilies:
         xs = draw_independent(M2, 2, rng)
         assert complete_s(M2, xs, 4, "series") == complete_s(M2, xs, 4, "words")
 
+    def test_ys_level_routes_agree_on_any_alphabet(self, rng, M2):
+        # lambda(-t) sigma(t) = 1 holds for every alphabet, independent or not
+        for n in (1, 2, 3):
+            ys = [M2.random_element(rng) for _ in range(n)]
+            assert complete_from_ys(M2, ys, 4, "series") == complete_from_ys(M2, ys, 4, "words")
+            assert elementary_from_ys(M2, ys)[0] == complete_from_ys(M2, ys, 1, "words")[0]
+
     def test_classical_families_at_dim_one(self, rng, Q):
         xs = draw_independent(Q, 3, rng)
         lam = elementary_lambda(Q, xs)
@@ -286,14 +316,15 @@ class TestSymmetry:
         hits = 0
         while hits < 10:
             xs = draw_independent(M2, 2, rng)
-            if not is_independent(M2, xs[::-1]):
+            try:
+                ys_r = y_transform(M2, xs[::-1])
+            except DomainError:
                 continue
             hits += 1
             assert (
                 elementary_lambda(M2, xs)[1] == elementary_lambda(M2, xs[::-1])[1]
             )
             ys = y_transform(M2, xs)
-            ys_r = y_transform(M2, xs[::-1])
             if ys[0] * ys[1] != ys_r[0] * ys_r[1]:
                 found_asymmetry = True
         assert found_asymmetry
@@ -304,12 +335,13 @@ class TestSymmetry:
         hits = 0
         while hits < 10:
             xs = draw_independent(M2, 2, rng)
-            if not is_independent(M2, xs[::-1]):
+            try:
+                ys_r = y_transform(M2, xs[::-1])
+            except DomainError:
                 continue
             hits += 1
             d = xs[1] - xs[0]
             ys = y_transform(M2, xs)
-            ys_r = y_transform(M2, xs[::-1])
             symmetric = ys[0] * ys[1] == ys_r[0] * ys_r[1]
             commutes = xs[0] * (d * d) == (d * d) * xs[0]
             assert symmetric == commutes
@@ -318,10 +350,10 @@ class TestSymmetry:
         hits = 0
         while hits < 2:
             xs = draw_independent(M2, 3, rng)
-            if not all(
-                is_independent(M2, [xs[p - 1] for p in perm])
-                for perm in permutations((1, 2, 3))
-            ):
+            try:
+                for perm in permutations((1, 2, 3)):
+                    y_transform(M2, [xs[p - 1] for p in perm])
+            except DomainError:
                 continue
             base = ribbon_schur(M2, xs, (2, 1))
             for perm in permutations((1, 2, 3)):
@@ -343,14 +375,15 @@ class TestDerivation:
         while hits < 3:
             raw = [base.random_element(rng) for _ in range(3)]
             lifted = [shift_by_unit(T, x) for x in raw]
-            if not is_independent(T, lifted):
+            try:
+                ys, Vs = y_chain(T, lifted)
+            except DomainError:
                 continue
             # difference of shifted values loses the shift entirely
             assert (lifted[1] - lifted[0]).coeffs[1] == base.zero
-            for k in (2, 3):
-                V = vandermonde(T, lifted[:k])
+            for k, V in zip((2, 3), Vs):
+                assert V == vandermonde(T, lifted[:k])
                 assert V.coeffs[1] == base.zero
-            ys = y_transform(T, lifted)
             for y in ys:
                 assert y.coeffs[1] == base.one
             hits += 1
