@@ -7,8 +7,8 @@ Subcommands:
   qdet             quasideterminant of a rational matrix file
   qpc              left/right coordinate of a rational matrix file
   gauss            triangular-diagonal-triangular factorization as JSON
-  symm             one symmetric-function check at given size/dimension
-  contfrac         convergent/corner agreement at given size/dimension
+  symm             one symmetric-function catalog entry at one cell
+  contfrac         the CONVERGENT-ROUTES catalog entry at one cell
   rr               matched q-series coefficients of the depth-truncated tower
 
 Exit codes: 0 all expectations met, 1 unexpected counterexample or error,
@@ -20,24 +20,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import contfrac as cf
 from . import pluecker as pl
-from . import symmfn as sf
+from .catalog import get_identity
 from .harness import (
     DEFAULT_SEED,
+    DOMAIN_EXHAUSTED,
+    VERIFIED,
     RunConfig,
     identity_lines,
     load_report,
     replay_from_report,
-    ring_for_dimension,
+    run_identity,
     run_suite,
     write_report,
 )
 from .matrix import matrix_from_expressions
 from .qdet import qdet
 from .rings import DomainError, format_fraction
-from .sampling import Draw, substream
 
 
 def _load_matrix(path: str):
@@ -116,83 +118,34 @@ def _cmd_gauss(args) -> int:
     return 0
 
 
-def _symm_check(check: str, ring, xs: list, z, ys: list):
-    """(passed, output lines) of one symm check on independent xs with
-    y alphabet ys."""
-    if check == "vieta":
-        a = sf.vieta_via_qdet(ring, xs)
-        b = sf.vieta_from_y(ring, ys)
-        c = sf.coeffs_from_roots(ring, xs)
-        agree = a == b == c
-        return agree, [f"coefficient routes agree: {agree}"] + [
-            f"  a_{k} = {ring.serialize(v)}" for k, v in enumerate(a, start=1)
-        ]
-    if check == "bezout":
-        product = sf.bezout_product(ring, ys, sf.z_transform(ring, xs, z))
-        exact = ring.equals(sf.vandermonde(ring, xs + [z]), product)
-        return exact, [f"factorization exact: {exact}"]
-    if check == "lambda":
-        lams = sf.elementary_from_ys(ring, ys)
-        return True, [f"Lambda_{k} = {ring.serialize(v)}" for k, v in enumerate(lams, start=1)]
-    if check == "complete":
-        s1 = sf.complete_from_ys(ring, ys, 4, route="series")
-        agree = s1 == sf.complete_from_ys(ring, ys, 4, route="words")
-        return agree, [f"series and word routes agree: {agree}"] + [
-            f"  S_{k} = {ring.serialize(v)}" for k, v in enumerate(s1, start=1)
-        ]
-    return True, [
-        f"R_{J} = {ring.serialize(sf.ribbon_from_ys(ring, ys, J))}" for J in sf.compositions(3)
-    ]
+# the catalog entry that each ``symm --check`` value runs
+SYMM_ENTRIES = {
+    "vieta": "VIETA-COEFFS",
+    "bezout": "BEZOUT-FACTOR",
+    "lambda": "LAMBDA-SYMMETRY",
+    "complete": "S-ROUTE-AGREE",
+    "ribbon": "RIBBON-SYMMETRY",
+}
 
 
-def _resampled(draw, make, message):
-    """The first ``make()`` that raises no ``DomainError``, or None after
-    printing ``message`` when 50 do."""
-    try:
-        return draw.until(make, lambda _: True, message)
-    except DomainError:
-        print(message, file=sys.stderr)
-        return None
+def _run_entry(ident: str, args) -> int:
+    """Run catalog entry ``ident`` on one sample at the single cell
+    (--n, --d) and print its verdict as JSON: exit 0 when verified, 2 when
+    the domain was exhausted, 1 otherwise."""
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
+    desc = replace(get_identity(ident), cells=((args.n, args.d),))
+    verdict = run_identity(desc, RunConfig(seed=args.seed, samples=1))
+    print(json.dumps(verdict.to_json(), indent=1, sort_keys=True))
+    return {VERIFIED: 0, DOMAIN_EXHAUSTED: 2}.get(verdict.status, 1)
 
 
 def _cmd_symm(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
-    ring = ring_for_dimension(args.d)
-    draw = Draw(substream(args.seed, "cli-symm", args.n, args.d))
-
-    def make():
-        xs = [draw.scalar(ring) for _ in range(args.n)]
-        z = draw.scalar(ring)
-        # raises unless xs and xs + [z] are independent; y_k reads only x_1..x_k
-        ys = sf.y_transform(ring, xs + [z])[:-1]
-        return _symm_check(args.check, ring, xs, z, ys)
-
-    result = _resampled(draw, make, "could not draw an independent sequence")
-    if result is None:
-        return 2
-    for line in result[1]:
-        print(line)
-    return 0 if result[0] else 1
+    return _run_entry(SYMM_ENTRIES[args.check], args)
 
 
 def _cmd_contfrac(args) -> int:
-    ring = ring_for_dimension(args.d)
-    draw = Draw(substream(args.seed, "cli-contfrac", args.n, args.d))
-
-    def make():
-        A = cf.draw_almost_triangular(draw, ring, args.n)
-        P, Q = cf.convergents_explicit(A)
-        return P, Q, ring.equals(P * ring.invert(Q), qdet(A, 1, 1))
-
-    result = _resampled(draw, make, "could not draw a nondegenerate matrix")
-    if result is None:
-        return 2
-    P, Q, ok = result
-    print(f"P_n = {ring.serialize(P)}")
-    print(f"Q_n = {ring.serialize(Q)}")
-    print(f"P_n Q_n^-1 equals the corner quasideterminant: {ok}")
-    return 0 if ok else 1
+    return _run_entry("CONVERGENT-ROUTES", args)
 
 
 def _cmd_rr(args) -> int:
@@ -259,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=["vieta", "bezout", "lambda", "complete", "ribbon"],
+        choices=list(SYMM_ENTRIES),
     )
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_symm)

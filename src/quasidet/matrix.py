@@ -271,14 +271,6 @@ class NcMatrix:
             rows.append(tuple(out))
         return NcMatrix._make(ring, tuple(rows), self.row_labels, other.col_labels)
 
-    def scale_left(self, lam) -> "NcMatrix":
-        return NcMatrix(
-            self.ring,
-            [[lam * a for a in row] for row in self.entries],
-            self.row_labels,
-            self.col_labels,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, NcMatrix)
@@ -289,17 +281,6 @@ class NcMatrix:
 
     def __hash__(self):
         return hash((self.row_labels, self.col_labels, self.entries))
-
-    def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        ring = self.ring
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                want = ring.one if i == j else ring.zero
-                if not ring.equals(x, want):
-                    return False
-        return True
 
     def is_zero_matrix(self) -> bool:
         ring = self.ring
@@ -482,16 +463,6 @@ def matrix_from_expressions(obj: dict) -> NcMatrix:
             out.append(evaluate(tree, {}, ring))
         rows.append(out)
     return NcMatrix(ring, rows)
-
-
-def matrix_to_expressions(A: NcMatrix) -> dict:
-    from .rings import format_fraction
-
-    return {
-        "rows": A.n_rows,
-        "cols": A.n_cols,
-        "entries": [[format_fraction(x) for x in row] for row in A.entries],
-    }
 
 
 class MatrixRing(ScalarRing):

@@ -244,13 +244,6 @@ def complete_from_ys(ring: ScalarRing, ys: Sequence, up_to: int, route: str = "s
     return [inverse.coeffs[i] for i in range(1, up_to + 1)]
 
 
-def descent_set(word: Sequence[int]) -> frozenset:
-    """Positions m (1-based) with word[m-1] > word[m]."""
-    return frozenset(
-        m for m in range(1, len(word)) if word[m - 1] > word[m]
-    )
-
-
 def composition_descents(J: Sequence[int]) -> frozenset:
     """Partial sums of the composition except the last."""
     acc, out = 0, []

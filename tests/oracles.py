@@ -61,6 +61,11 @@ def complete_classical(xs, k):
     return total
 
 
+def descent_set(word) -> frozenset:
+    """Positions m (1-based) with word[m-1] > word[m]."""
+    return frozenset(m for m in range(1, len(word)) if word[m - 1] > word[m])
+
+
 def ribbon_classical(xs, J):
     """Commutative descent-graded word sum, summed directly."""
     from itertools import product

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from quasidet import contfrac as cf
+from quasidet import symmfn as sf
 from quasidet.cli import main
-from quasidet.sampling import Draw
+from quasidet.harness import replay_counterexample
+from quasidet.rings import DomainError
 
 
 @pytest.fixture
@@ -124,46 +127,74 @@ def test_list_identities(capsys):
     assert "SYLVESTER" in out and "GAUSS-DECOMP" in out
 
 
+def _verdict(capsys) -> dict:
+    return json.loads(capsys.readouterr().out)
+
+
 def test_symm_vieta(capsys):
     code = main(["symm", "--n", "2", "--d", "1", "--check", "vieta", "--seed", "5"])
     assert code == 0
-    assert "coefficient routes agree: True" in capsys.readouterr().out
+    verdict = _verdict(capsys)
+    assert verdict["status"] == "verified" and verdict["succeeded"] == 1
+    assert verdict["cells"][0]["n"] == 2 and verdict["cells"][0]["d"] == 1
 
 
 def test_symm_bezout(capsys):
     code = main(["symm", "--n", "2", "--d", "2", "--check", "bezout", "--seed", "5"])
     assert code == 0
-    assert "factorization exact: True" in capsys.readouterr().out
+    assert _verdict(capsys)["status"] == "verified"
 
 
 def test_symm_complete_and_ribbon(capsys):
     code = main(["symm", "--n", "2", "--d", "2", "--check", "complete", "--seed", "5"])
     assert code == 0
-    assert "routes agree: True" in capsys.readouterr().out
+    assert _verdict(capsys)["status"] == "verified"
     code = main(["symm", "--n", "2", "--d", "1", "--check", "ribbon", "--seed", "5"])
     assert code == 0
-    assert "R_(1, 2)" in capsys.readouterr().out
+    assert _verdict(capsys)["status"] == "verified"
 
 
-@pytest.mark.parametrize("n,d,seed", [(2, 1, 7), (3, 1, 0), (3, 2, 15), (4, 3, 24)])
+def test_symm_failing_check_prints_a_replayable_counterexample(monkeypatch, capsys):
+    vieta_via_qdet = sf.vieta_via_qdet
+
+    def off_by_one(ring, xs):
+        a = vieta_via_qdet(ring, xs)
+        return [a[0] + ring.one] + a[1:]
+
+    monkeypatch.setattr(sf, "vieta_via_qdet", off_by_one)
+    code = main(["symm", "--n", "2", "--d", "2", "--check", "vieta", "--seed", "5"])
+    assert code == 1
+    verdict = _verdict(capsys)
+    assert verdict["status"] == "counterexample"
+    found = verdict["counterexample"]
+    assert found["identity"] == "VIETA-COEFFS" and found["label"] == "word-vs-ratio-1"
+    assert replay_counterexample(found)["reproduced"]
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 1, 0), (3, 1, 26), (3, 2, 79), (4, 3, 267)])
 def test_symm_resamples_past_a_singular_minor(n, d, seed, capsys):
     # each first independent draw meets a singular minor inside the check
     code = main(["symm", "--n", str(n), "--d", str(d), "--check", "vieta", "--seed", str(seed)])
     out, err = capsys.readouterr()
     assert code == 0, err
-    assert "coefficient routes agree: True" in out
+    verdict = json.loads(out)
+    assert verdict["status"] == "verified" and verdict["attempted"] >= 2
 
 
 @pytest.mark.parametrize("command", [["symm", "--check", "vieta"], ["contfrac"]])
 def test_exhausted_resampling_exits_2(command, monkeypatch, capsys):
-    until = Draw.until
-    monkeypatch.setattr(
-        Draw, "until", lambda self, make, accept, message: until(self, make, lambda _: False, message)
-    )
+    targets = {"symm": (sf, "vieta_via_qdet"), "contfrac": (cf, "convergents_explicit")}
+    module, name = targets[command[0]]
+
+    def singular(*args):
+        raise DomainError("singular")
+
+    # every attempt of the entry's check meets a DomainError
+    monkeypatch.setattr(module, name, singular)
     assert main(command) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("could not draw")
+    verdict = _verdict(capsys)
+    assert verdict["status"] == "domain_exhausted"
+    assert verdict["attempted"] == 50 and verdict["succeeded"] == 0
 
 
 def test_qpc_with_bordering_set(tmp_path, capsys):
@@ -188,7 +219,8 @@ def test_qpc_with_bordering_set(tmp_path, capsys):
 def test_contfrac_command(capsys):
     code = main(["contfrac", "--n", "4", "--d", "2", "--seed", "5"])
     assert code == 0
-    assert "corner quasideterminant: True" in capsys.readouterr().out
+    verdict = _verdict(capsys)
+    assert verdict["status"] == "verified" and verdict["cells"][0]["n"] == 4
 
 
 def test_rr_command(capsys):
@@ -213,13 +245,22 @@ def test_nonpositive_sample_counts_are_usage_errors(flag, value, capsys):
     assert "must be >= 1" in err
 
 
-@pytest.mark.parametrize("check", ["vieta", "bezout", "lambda", "complete", "ribbon"])
+@pytest.mark.parametrize("check", ["vieta", "bezout", "lambda", "complete", "ribbon", "contfrac"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_symm_size_below_one_is_a_usage_error(check, value, capsys):
-    assert main(["symm", "--n", value, "--check", check]) == 3
+    command = ["contfrac"] if check == "contfrac" else ["symm", "--check", check]
+    assert main(command + ["--n", value]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: n must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("command", [["symm", "--check", "bezout"], ["contfrac"]])
+def test_dimension_below_one_is_a_usage_error(command, capsys):
+    assert main(command + ["--d", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dimension must be >= 1\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--dims", "7"), ("--sizes", "99")])

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from quasidet.matrix import (
     MatrixRing,
     NcMatrix,
     matrix_from_expressions,
-    matrix_to_expressions,
     matrix_times_col,
     row_times_matrix,
 )
@@ -19,6 +17,7 @@ from quasidet.rings import (
     Rationals,
     SquareMatrices,
     TruncatedSeriesRing,
+    format_fraction,
 )
 from quasidet.sampling import sample_matrix
 
@@ -170,8 +169,7 @@ class TestInverse:
                 B = A.inverse()
             except DomainError:
                 continue
-            assert (A * B).is_identity()
-            assert (B * A).is_identity()
+            assert A * B == B * A == NcMatrix.identity(ring, 3)
 
     def test_series_ring_inverse(self, rng, M2):
         T = TruncatedSeriesRing(M2, 3)
@@ -181,8 +179,7 @@ class TestInverse:
                 B = A.inverse()
             except DomainError:
                 continue
-            assert (A * B).is_identity()
-            assert (B * A).is_identity()
+            assert A * B == B * A == NcMatrix.identity(T, 3)
 
     def test_function_field_has_no_matrix_inverse(self, rng):
         # Q(q) embeds in no rational matrices and is no series ring: the
@@ -245,7 +242,8 @@ class TestSeriesInverse:
                 continue
             break
         assert B.row_labels == (5, 6) and B.col_labels == (7, 8)
-        assert (A * B).is_identity() and (B * A).is_identity()
+        assert A * B == NcMatrix.identity(T, 2, [7, 8])
+        assert B * A == NcMatrix.identity(T, 2, [5, 6])
 
 
 class TestVectorOps:
@@ -278,9 +276,10 @@ class TestSerialization:
         }
         A = matrix_from_expressions(obj)
         assert A.entry(2, 1) == Fraction(3, 2)
-        back = matrix_to_expressions(A)
-        assert back["entries"][0] == ["1", "2"]
-        assert json.loads(json.dumps(back)) == back
+        assert [[format_fraction(x) for x in row] for row in A.entries] == [
+            ["1", "2"],
+            ["3/2", "4"],
+        ]
 
     def test_json_rejects_open_expressions(self):
         with pytest.raises(ValueError):
@@ -307,7 +306,7 @@ class TestMatrixRing:
     def test_lift_is_central_for_scalars(self, Q):
         R = MatrixRing(Q, 3)
         lifted = R.lift(Fraction(5))
-        assert lifted == R.one.scale_left(Fraction(5))
+        assert lifted == NcMatrix(Q, [[5 if i == j else 0 for j in range(3)] for i in range(3)])
 
     def test_flatten_roundtrip(self, rng, M2):
         R = MatrixRing(M2, 2)

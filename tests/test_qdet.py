@@ -419,7 +419,7 @@ class TestCayleyHamilton:
             # commutative oracle: A^2 - tr A + det I = 0
             tr = A.entry(1, 1) + A.entry(2, 2)
             det = det_leibniz([list(r) for r in A.entries])
-            M = A * A - A.scale_left(tr) + NcMatrix.identity(Q, 2).scale_left(det)
+            M = A * A - NcMatrix(Q, [[tr, 0], [0, tr]]) * A + NcMatrix(Q, [[det, 0], [0, det]])
             assert M.is_zero_matrix()
             assert all(v.is_zero_matrix() for row in vals for v in row)
             hits += 1

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     complete_classical,
+    descent_set,
     elementary_classical,
     ribbon_classical,
     vandermonde_ratio_classical,
@@ -20,7 +21,6 @@ from quasidet.symmfn import (
     complete_s,
     composition_descents,
     compositions,
-    descent_set,
     dual_shift_ring,
     elementary_from_ys,
     elementary_lambda,
