@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Optional
 
 from . import contfrac as cf
@@ -1438,9 +1438,8 @@ def check_vieta_agree(ctx: CheckContext):
     for k in range(ctx.n):
         ctx.compare(f"word-vs-ratio-{k + 1}", a_words[k], a_ratio[k])
         ctx.compare(f"word-vs-solved-{k + 1}", a_words[k], a_solved[k])
-    poly = sf.annihilation_poly(ring, a_words)
     for pos, x in enumerate(xs):
-        ctx.compare(f"root-annihilated-{pos}", poly.evaluate(x), ring.zero)
+        ctx.compare(f"root-annihilated-{pos}", sf.annihilation_value(ring, a_words, x), ring.zero)
     if ctx.d == 1:
         lam = sf.elementary_from_ys(ring, ys)
         for k in range(1, ctx.n + 1):
@@ -1454,9 +1453,7 @@ def check_vieta_agree(ctx: CheckContext):
 
 
 def _all_perms(n):
-    from itertools import permutations as _p
-
-    return [tuple(q) for q in _p(range(1, n + 1))]
+    return list(permutations(range(1, n + 1)))
 
 
 def check_symmetry(ctx: CheckContext, family: str):
@@ -1804,7 +1801,7 @@ def check_almost_triangular_d(ctx: CheckContext):
 def check_almost_triangular_qdet(ctx: CheckContext):
     n = ctx.n
     B = cf.draw_almost_triangular(ctx.draw, ctx.ring, n, general_subdiag=True)
-    products = cf.general_corner_products(B)
+    products = cf.general_corner_product(B)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             ctx.compare(f"pivot-{i}{j}", qdet(B, i, j), products[(i, j)])

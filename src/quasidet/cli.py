@@ -51,7 +51,6 @@ def _cmd_verify(args) -> int:
     config = RunConfig(
         seed=args.seed,
         samples=args.samples,
-        resample_limit=args.resample_limit,
         only=args.only.split(",") if args.only else None,
         modules=args.modules.split(",") if args.modules else None,
         dims=[int(d) for d in args.dims.split(",")] if args.dims else None,
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="comma-separated dimensions to keep")
     p.add_argument("--sizes", help="comma-separated sizes to keep")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--resample-limit", type=int, default=50)
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "recursive", "minor_inverse"])
+    p.add_argument("--method", default="minor_inverse", choices=["recursive", "minor_inverse"])
     p.set_defaults(func=_cmd_qdet)
 
     p = sub.add_parser("qpc", help="quasi-Plucker coordinate of a matrix file")

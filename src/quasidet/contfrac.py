@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .matrix import NcMatrix
 from .qdet import qdet
@@ -291,7 +291,7 @@ def corner_alternating_sum(B: NcMatrix):
     return _chains(B, step, 1, range(1, n), n)
 
 
-def general_corner_products(B: NcMatrix) -> dict:
+def general_corner_product(B: NcMatrix) -> dict:
     """Every quasideterminant at (i, j), i <= j, keyed by (i, j), as a
     product of D values:
     (-1)^(j-i) [b_{i,i-1}] D(1..i-1)^{-1} D(1..n) D(j+1..n)^{-1} [b_{j+1,j}],
@@ -312,10 +312,6 @@ def general_corner_products(B: NcMatrix) -> dict:
             value = row if j == n else row * right[j]
             values[(i, j)] = -value if (j - i) % 2 else value
     return values
-
-
-# the name ALMOST-TRIANGULAR-QDET lists among its operations in the pinned report
-general_corner_product = general_corner_products
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +357,8 @@ def rr_ratio_sides(order: int):
     return T.element(num), T.element(den)
 
 
-def rr_sides(order: int, depth: Optional[int] = None):
+def rr_sides(order: int, depth: int):
     """(continued-fraction series, closed-form ratio series)."""
-    depth = depth if depth is not None else order + 2
     lhs = rr_continued_fraction(order, depth)
     num, den = rr_ratio_sides(order)
     T = num.ring

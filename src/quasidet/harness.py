@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .catalog import CATALOG, CheckContext, IdentityDescriptor, MismatchFound, get_identity
 from .formula import RatFormula, evaluate, free_vars
 from .rings import DomainError, Rationals, ScalarRing, SquareMatrices
-from .sampling import Draw, ReplayDraw, substream
+from .sampling import RESAMPLE_LIMIT, Draw, ReplayDraw, substream
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0xC0FFEE
@@ -74,7 +74,6 @@ class IdentityVerdict:
 class RunConfig:
     seed: int = DEFAULT_SEED
     samples: int = 20
-    resample_limit: int = 50
     only: Optional[Sequence[str]] = None
     modules: Optional[Sequence[str]] = None
     dims: Optional[Sequence[int]] = None
@@ -84,14 +83,12 @@ class RunConfig:
         # a run with no samples would report every identity verified
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.resample_limit < 1:
-            raise ValueError(f"resample_limit must be >= 1, got {self.resample_limit}")
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
             "samples": self.samples,
-            "resample_limit": self.resample_limit,
+            "resample_limit": RESAMPLE_LIMIT,
             "only": list(self.only) if self.only else None,
             "modules": list(self.modules) if self.modules else None,
             "dims": list(self.dims) if self.dims else None,
@@ -141,7 +138,7 @@ def run_identity(
         for k in range(samples):
             rng = substream(config.seed, desc.ident, n, d, k)
             slot_done = False
-            for attempt in range(config.resample_limit):
+            for attempt in range(RESAMPLE_LIMIT):
                 draw = Draw(rng, profile=desc.profile)
                 ctx = CheckContext(draw=draw, ring=ring, n=n, d=d)
                 verdict.attempted += 1

@@ -18,7 +18,9 @@ from typing import Sequence
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
 from .exactlin import invert_rational, invert_scaled
-from .rings import DomainError, Rationals, ScalarRing, TruncatedSeriesRing, SeriesElement
+from .rings import (
+    DomainError, Rationals, ScalarRing, SeriesElement, TruncatedSeriesRing, ring_from_spec
+)
 
 
 class NcMatrix:
@@ -337,8 +339,6 @@ class NcMatrix:
 
     @classmethod
     def deserialize(cls, obj: dict) -> "NcMatrix":
-        from .rings import ring_from_spec
-
         ring = ring_from_spec(obj["ring"])
         entries = [[ring.deserialize(x) for x in row] for row in obj["entries"]]
         return cls(ring, entries, obj["row_labels"], obj["col_labels"])
@@ -354,7 +354,10 @@ def flatten_matrix(ring, rows):
     """Expand rows of elements of a rational-embeddable ring into one int
     matrix with a positive scale per row, ``(num, scales)``: the rational
     matrix is ``diag(scales)^-1 num`` (block structure forgotten).  The
-    k rows flattened from one row of elements share its scale."""
+    k rows flattened from one row of elements share its scale.  Q rows
+    are cleared here from each ``Rat``'s int fields, not by
+    ``exactlin._integer_rows``: every d = 1 quasideterminant comes this
+    way, and that generic route takes 1.5 times as long."""
     k = ring.flat_dim
     if k is None:
         raise TypeError(f"{ring.name} has no rational embedding")
@@ -431,8 +434,7 @@ def matrix_from_expressions(obj: dict) -> NcMatrix:
     + - *, parentheses and inv) or a plain integer; any other JSON
     value (a float, a bool, null) raises ValueError, and so does a
     file that is not an object or whose rows are not lists."""
-    from .formula import evaluate, free_vars, parse
-    from .rings import Rationals
+    from .formula import evaluate, free_vars, parse  # formula imports this module
 
     if not isinstance(obj, dict):
         raise ValueError("a matrix file must hold a JSON object")

@@ -22,30 +22,30 @@ test harness checks exhaustively at small sizes.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .exactlin import schur_complement
 from .matrix import MatrixRing, NcMatrix, flatten_matrix, matrix_times_col
 from .rings import DomainError
 
 
-def qdet(A: NcMatrix, p, q, method: str = "auto"):
+def qdet(A: NcMatrix, p, q, method: str = "minor_inverse"):
     """Quasideterminant of A at pivot row p, pivot column q.
 
-    method: "recursive" (defining recursion, over every ring),
+    method: "recursive" (defining recursion, over every ring) or
     "minor_inverse" (via the inverse of the pivot-deleted submatrix; over
     a ring with ``flat_dim`` this is the Schur complement of the flattened
-    minor) or "auto" (minor_inverse).  Both raise DomainError where the
-    route is undefined; minor_inverse does so exactly when the
-    pivot-deleted submatrix is singular, and raises TypeError at n >= 2
-    over a ring with no matrix inverse (Q(q) and series over it).
+    minor).  Both raise DomainError where the route is undefined;
+    minor_inverse does so exactly when the pivot-deleted submatrix is
+    singular, and raises TypeError at n >= 2 over a ring with no matrix
+    inverse (Q(q) and series over it).
     """
     if not A.is_square():
         raise ValueError("quasideterminants need a square matrix")
     A._row_pos(p), A._col_pos(q)
     if method == "recursive":
         return _qdet_recursive(A, A.row_labels, A.col_labels, p, q, {})
-    if method in ("auto", "minor_inverse"):
+    if method == "minor_inverse":
         return _qdet_minor_inverse(A, p, q)
     raise ValueError(f"unknown method {method!r}")
 
@@ -107,9 +107,8 @@ def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
     mode "row" with expansion row k != p:
         a_pq - sum_{j != q} a_pj (|A^{pq}|_{kj})^{-1} |A^{pj}|_{kq}
     mode "col" with expansion column l != q:
-        a_pq - sum_{i != p} |A^{iq}|_{pi} (|A^{pq}|_{il})^{-1} a_iq
-    The column mode uses row labels as pivot columns of quasiminors, so
-    it requires matching row and column label sets.
+        a_pq - sum_{i != p} |A^{iq}|_{pl} (|A^{pq}|_{il})^{-1} a_iq
+    Both modes take any row and column labels.
     """
     if not A.is_square():
         raise ValueError("square matrix required")
@@ -348,15 +347,13 @@ def solve_system(A: NcMatrix, rhs: Sequence, method: str = "auto") -> list:
     return matrix_times_col(inverse, list(rhs))
 
 
-def cramer_pair(A: NcMatrix, rhs: Sequence, i, j, x: Optional[Sequence] = None):
+def cramer_pair(A: NcMatrix, rhs: Sequence, i, j):
     """Both sides of the replaced-column identity at pivot (i, j).
 
-    Returns (qdet(A)_{ij} * x_j, qdet(A_j(rhs))_{ij}); the two agree when
-    defined.  x may be passed in to reuse a solved system.
+    Returns (qdet(A)_{ij} * x_j, qdet(A_j(rhs))_{ij}) with x solving
+    A x = rhs; the two agree when defined.
     """
-    if x is None:
-        x = solve_system(A, rhs)
-    xj = x[list(A.col_labels).index(j)]
+    xj = solve_system(A, rhs)[A._col_pos(j)]
     lhs = qdet(A, i, j) * xj
     rhs_val = qdet(replace_col(A, j, rhs), i, j)
     return lhs, rhs_val

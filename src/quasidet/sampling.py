@@ -18,6 +18,9 @@ from typing import Callable, Optional, Sequence
 from .matrix import NcMatrix
 from .rings import DomainError, SampleProfile, ScalarRing
 
+# tries per sample slot in ``run_identity`` and per ``Draw.until`` loop
+RESAMPLE_LIMIT = 50
+
 
 def substream(seed: int, *tokens) -> random.Random:
     """Deterministic child RNG for the given seed and token path."""
@@ -65,11 +68,12 @@ class Draw:
         self.log: list = []
 
     def until(self, make: Callable, accept: Callable, message: str):
-        """The first ``make()`` that ``accept`` takes, in at most 50 tries.
-        A ``DomainError`` from either call rejects a try.  Nothing is logged
-        here: a try is in the log exactly when ``make`` logs it, so a replay
-        walks through the same rejected tries."""
-        for _ in range(50):
+        """The first ``make()`` that ``accept`` takes, in at most
+        ``RESAMPLE_LIMIT`` tries.  A ``DomainError`` from either call
+        rejects a try.  Nothing is logged here: a try is in the log exactly
+        when ``make`` logs it, so a replay walks through the same rejected
+        tries."""
+        for _ in range(RESAMPLE_LIMIT):
             try:
                 value = make()
                 if accept(value):
@@ -94,16 +98,14 @@ class Draw:
         self.log.append({"t": "scalar", "ring": ring.spec(), "v": ring.serialize(x)})
         return x
 
-    def matrix(self, ring, n_rows, n_cols, row_labels=None, col_labels=None):
-        mat = sample_matrix(
-            ring, n_rows, n_cols, self.rng, self.profile, row_labels, col_labels
-        )
+    def matrix(self, ring, n_rows, n_cols):
+        mat = sample_matrix(ring, n_rows, n_cols, self.rng, self.profile)
         self.log.append({"t": "matrix", "v": mat.serialize()})
         return mat
 
-    def invertible_matrix(self, ring, n, labels=None):
+    def invertible_matrix(self, ring, n):
         mat = self.until(
-            lambda: sample_matrix(ring, n, n, self.rng, self.profile, labels, labels),
+            lambda: sample_matrix(ring, n, n, self.rng, self.profile),
             lambda mat: mat.inverse() is not None,  # a singular one raises
             f"could not draw an invertible {n}x{n} matrix over {ring.name}",
         )
@@ -168,11 +170,11 @@ class ReplayDraw(Draw):
 
     invertible_scalar = scalar
 
-    def matrix(self, ring, n_rows, n_cols, row_labels=None, col_labels=None):
+    def matrix(self, ring, n_rows, n_cols):
         rec = self._next("matrix")
         return NcMatrix.deserialize(rec["v"])
 
-    def invertible_matrix(self, ring, n, labels=None):
+    def invertible_matrix(self, ring, n):
         rec = self._next("matrix")
         return NcMatrix.deserialize(rec["v"])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .matrix import NcMatrix
+from .matrix import NcMatrix, row_times_matrix
 from .qdet import qdet
 from .rings import ScalarRing, TruncatedSeriesRing
 
@@ -98,35 +98,6 @@ def bezout_product(ring: ScalarRing, ys: Sequence, zs: Sequence):
     return acc
 
 
-class CentralPoly:
-    """Polynomial with left coefficients and a central variable.
-
-    Stored as (c_0, ..., c_n) for c_0 z^n + ... + c_n; evaluation at w
-    is sum c_k w^(n-k) with every coefficient multiplying from the left.
-    """
-
-    def __init__(self, ring: ScalarRing, coeffs: Sequence):
-        self.ring = ring
-        self.coeffs = tuple(ring.coerce(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("need at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, w):
-        ring = self.ring
-        n = self.degree
-        acc = ring.zero
-        for k, c in enumerate(self.coeffs):
-            acc = acc + c * scalar_power(ring, w, n - k)
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, CentralPoly) and self.coeffs == other.coeffs
-
-
 def _elementary_sums(ring: ScalarRing, ys: Sequence, up_to: int) -> list:
     """Lambda_1..Lambda_up_to over ys: Lambda_k is the sum over
     i_1 < ... < i_k of the descending word y_{i_k} ... y_{i_1}, zero for
@@ -187,8 +158,6 @@ def _power_rows(ring, values, powers) -> NcMatrix:
 def coeffs_from_roots(ring: ScalarRing, xs: Sequence) -> list:
     """Coefficients of the monic left-coefficient polynomial annihilating
     every root, solved from the right-linear system over the power matrix."""
-    from .matrix import row_times_matrix
-
     n = len(xs)
     W = power_matrix(ring, xs)
     rhs = [-scalar_power(ring, x, n) for x in xs]
@@ -196,8 +165,13 @@ def coeffs_from_roots(ring: ScalarRing, xs: Sequence) -> list:
     return row_times_matrix(rhs, Winv)
 
 
-def annihilation_poly(ring: ScalarRing, coeffs: Sequence) -> CentralPoly:
-    return CentralPoly(ring, [ring.one] + list(coeffs))
+def annihilation_value(ring: ScalarRing, coeffs: Sequence, w):
+    """w^n + a_1 w^(n-1) + ... + a_n for coeffs a_1..a_n, every
+    coefficient on the left and w on the right, by Horner's rule."""
+    acc = ring.one
+    for c in coeffs:
+        acc = acc * w + c
+    return acc
 
 
 def elementary_lambda(ring: ScalarRing, xs: Sequence) -> list:

@@ -236,7 +236,19 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["verify", "--only", "NOPE"]) == 3
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--resample-limit"])
+def test_resample_limit_flag_is_a_usage_error(capsys):
+    assert main(["verify", "--only", "RING-AXIOMS", "--resample-limit", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --resample-limit 5" in err
+
+
+def test_qdet_method_auto_is_a_usage_error(matrix_file, capsys):
+    assert main(["qdet", "--matrix", matrix_file, "--p", "1", "--q", "1", "--method", "auto"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'auto'" in err
+
+
+@pytest.mark.parametrize("flag", ["--samples"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_sample_counts_are_usage_errors(flag, value, capsys):
     assert main(["verify", "--only", "RING-AXIOMS", flag, value]) == 3

@@ -15,7 +15,7 @@ from quasidet.contfrac import (
     d_product,
     descending_diagonal_product,
     draw_almost_triangular,
-    general_corner_products,
+    general_corner_product,
     graded_series_matrix,
     heisenberg_diagonal,
     jacobi_convergents,
@@ -300,7 +300,7 @@ class TestCornerProducts:
         while hits < 2:
             B = draw_almost_triangular(Draw(rng), M2, n, general_subdiag=True)
             try:
-                products = general_corner_products(B)
+                products = general_corner_product(B)
                 for i in range(1, n + 1):
                     for j in range(i, n + 1):
                         assert qdet(B, i, j) == products[(i, j)]
@@ -318,7 +318,7 @@ class TestCornerProducts:
         while hits < 2:
             B = draw_almost_triangular(Draw(rng), ring, n, general_subdiag=True)
             try:
-                products = general_corner_products(B)
+                products = general_corner_product(B)
                 for i in range(1, n + 1):
                     for j in range(i, n + 1):
                         value = d_product(B, 1, n)

@@ -38,7 +38,7 @@ from quasidet.harness import (
 )
 from quasidet.qdet import qdet
 from quasidet.rings import DomainError, Rationals, SquareMatrices
-from quasidet.sampling import sample_matrix
+from quasidet.sampling import RESAMPLE_LIMIT, sample_matrix
 
 
 def test_never_defined_inverse_raises():
@@ -330,13 +330,14 @@ class TestEquivalence:
         v = equivalent(
             inv(var("x") - var("x")),
             parse("1"),
-            RunConfig(dims=[1, 2], samples=2, resample_limit=5, seed=3),
+            RunConfig(dims=[1, 2], samples=2, seed=3),
         )
         assert v.status == DOMAIN_EXHAUSTED
-        # an exhausted cell does not stop the cells after it
-        assert [(c["d"], c["status"]) for c in v.cells] == [
-            (1, DOMAIN_EXHAUSTED),
-            (2, DOMAIN_EXHAUSTED),
+        # an exhausted cell does not stop the cells after it; its first
+        # slot spends the whole limit and the slots after it are not run
+        assert [(c["d"], c["status"], c["attempted"]) for c in v.cells] == [
+            (1, DOMAIN_EXHAUSTED, RESAMPLE_LIMIT),
+            (2, DOMAIN_EXHAUSTED, RESAMPLE_LIMIT),
         ]
 
     def test_same_seed_same_verdict(self):

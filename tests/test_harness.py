@@ -312,7 +312,7 @@ class TestRunSemantics:
         with pytest.raises(KeyError):
             run_suite(RunConfig(only=["NOT-AN-ID"]))
 
-    @pytest.mark.parametrize("field", ["samples", "resample_limit"])
+    @pytest.mark.parametrize("field", ["samples"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_nonpositive_sample_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

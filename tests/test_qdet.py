@@ -127,6 +127,28 @@ class TestExpansion:
                     continue
                 hits += 1
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_column_expansion_with_unmatched_labels(self, d, rng):
+        # |A^{iq}|_{pl}: a pivot row label with a column label, so the two
+        # label sets need not match
+        ring = Rationals() if d == 1 else SquareMatrices(d)
+        rows, cols = (4, 6, 9), (1, 3, 5)
+        defined = 0
+        for _ in range(4):
+            A = sample_matrix(ring, 3, 3, rng, row_labels=rows, col_labels=cols)
+            for p in rows:
+                for q in cols:
+                    for l in cols:
+                        if l == q:
+                            continue
+                        try:
+                            expected = qdet(A, p, q)
+                            assert qdet_expansion(A, p, q, "col", l) == expected
+                        except DomainError:
+                            continue
+                        defined += 1
+        assert defined > 50
+
 
 class TestInverse:
     def test_diagonal(self, Q):

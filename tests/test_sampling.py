@@ -5,6 +5,7 @@ import pytest
 from quasidet.catalog import CheckContext, _independent_values
 from quasidet.rings import DomainError, Rationals, SampleProfile, SquareMatrices
 from quasidet.sampling import (
+    RESAMPLE_LIMIT,
     Draw,
     ReplayDraw,
     sample_assignment,
@@ -92,7 +93,7 @@ def test_until_gives_up_after_fifty_tries():
     calls = []
     with pytest.raises(DomainError, match="^nothing fits$"):
         draw.until(lambda: calls.append(None), lambda _: False, "nothing fits")
-    assert len(calls) == 50
+    assert len(calls) == RESAMPLE_LIMIT == 50
     assert draw.log == []
 
 

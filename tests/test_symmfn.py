@@ -13,8 +13,7 @@ from oracles import (
 
 from quasidet.rings import DomainError
 from quasidet.symmfn import (
-    CentralPoly,
-    annihilation_poly,
+    annihilation_value,
     bezout_product,
     coeffs_from_roots,
     complete_from_ys,
@@ -214,17 +213,18 @@ class TestVieta:
             except DomainError:
                 continue
             assert a == b == c
-            poly = annihilation_poly(M2, a)
             for x in xs:
-                assert M2.is_zero(poly.evaluate(x))
+                assert M2.is_zero(annihilation_value(M2, a, x))
             hits += 1
 
     def test_central_poly_left_coefficients(self, rng, M2):
-        c0 = M2.random_element(rng)
-        c1 = M2.random_element(rng)
-        w = M2.random_element(rng)
-        poly = CentralPoly(M2, [c0, c1])
-        assert poly.evaluate(w) == c0 * w + c1
+        a1, a2, w = (M2.random_element(rng) for _ in range(3))
+        assert annihilation_value(M2, [], w) == M2.one
+        assert annihilation_value(M2, [a1], w) == w + a1
+        # degree 2: w^2 + a_1 w + a_2, the coefficient left of w
+        value = annihilation_value(M2, [a1, a2], w)
+        assert value == w * w + a1 * w + a2
+        assert a1 * w != w * a1 and value != w * w + w * a1 + a2
 
 
 class TestSymmetricFamilies:
