@@ -23,7 +23,7 @@ from . import pluecker as pl
 from . import symmfn as sf
 from .exactlin import det_bareiss, rational_rank
 from .formula import Add, Inv, Mul, Neg, Var, evaluate, formula_height, qdet_formula
-from .matrix import MatrixRing, NcMatrix, matrix_times_col
+from .matrix import MatrixRing, NcMatrix
 from .qdet import (
     cayley_hamilton,
     hadamard_inverse,
@@ -824,9 +824,9 @@ def check_linear_solve(ctx: CheckContext):
     A = _square(ctx)
     rhs = [ctx.draw.scalar(ring) for _ in range(ctx.n)]
     x = solve_system(A, rhs, method="qdet")
-    residual = matrix_times_col(A, x)
+    residual = A * NcMatrix(ring, [[v] for v in x], A.col_labels)
     for pos in range(ctx.n):
-        ctx.compare(f"residual-{pos}", residual[pos], rhs[pos])
+        ctx.compare(f"residual-{pos}", residual.entries[pos][0], rhs[pos])
     x_direct = solve_system(A, rhs, method="auto")
     for pos in range(ctx.n):
         ctx.compare(f"route-agreement-{pos}", x[pos], x_direct[pos])
@@ -870,10 +870,6 @@ def check_cayley_hamilton(ctx: CheckContext):
 # quasi-Plucker module
 
 
-def _wide(ctx: CheckContext, k: int, n: int) -> NcMatrix:
-    return ctx.draw.matrix(ctx.ring, k, n)
-
-
 @identity(
     ident="QPC-GENERATING",
     module="pluecker",
@@ -886,7 +882,7 @@ def _wide(ctx: CheckContext, k: int, n: int) -> NcMatrix:
 def check_qpc_generating(ctx: CheckContext):
     ring = ctx.ring
     k, n = 2, ctx.n
-    A = _wide(ctx, k, n)
+    A = ctx.draw.matrix(ctx.ring, k, n)
     cols = list(range(1, n + 1))
     i, j, m = ctx.draw.subset(cols, 3)
     others = [c for c in cols if c not in (i, j, m)]
@@ -899,7 +895,7 @@ def check_qpc_generating(ctx: CheckContext):
     ctx.compare("cocycle", pij * pjm, pim)
     if ctx.n >= 5:
         # ordering of the bordering set needs |I| >= 2, hence 3 rows
-        B = _wide(ctx, 3, ctx.n)
+        B = ctx.draw.matrix(ctx.ring, 3, ctx.n)
         i, j, a, b = ctx.draw.subset(list(range(1, ctx.n + 1)), 4)
         ctx.compare(
             "order-independence",
@@ -918,7 +914,7 @@ def check_qpc_generating(ctx: CheckContext):
 )
 def check_qpc_st_independence(ctx: CheckContext):
     k = 2 if ctx.n <= 4 else 3
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     cols = list(range(1, ctx.n + 1))
     picked = ctx.draw.subset(cols, k + 1)
     i, j = picked[0], picked[1]
@@ -950,7 +946,7 @@ def check_qpc_st_independence(ctx: CheckContext):
 )
 def check_qpc_gauge(ctx: CheckContext):
     k = 2
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     g = ctx.draw.invertible_matrix(ctx.ring, k)
     cols = list(range(1, ctx.n + 1))
     picked = ctx.draw.subset(cols, 3)
@@ -976,7 +972,7 @@ def check_qpc_gauge(ctx: CheckContext):
 def check_qpc_skew(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 4 else 3
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     N = ctx.draw.subset(list(range(1, ctx.n + 1)), k + 1)
     i, j, m = ctx.draw.subset(list(N), 3)
     p1 = pl.left_qpc(A, i, j, tuple(x for x in N if x not in (i, j)))
@@ -996,7 +992,7 @@ def check_qpc_skew(ctx: CheckContext):
 def check_pluecker_relation(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 5 else 3
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     cols = list(range(1, ctx.n + 1))
     M = ctx.draw.subset(cols, k - 1)
     i = ctx.draw.choice([c for c in cols if c not in M])
@@ -1019,7 +1015,7 @@ def check_pluecker_relation(ctx: CheckContext):
 )
 def check_embed(ctx: CheckContext):
     k = 2 if ctx.n <= 4 else 3
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     X = pl.embed_upper_identity(A)
     j = ctx.draw.int_range(1, k - 1)
     i = ctx.draw.int_range(k + 1, ctx.n)
@@ -1039,7 +1035,7 @@ def check_embed(ctx: CheckContext):
 def check_normal_form(ctx: CheckContext):
     ring = ctx.ring
     k = 2
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     C, witness = pl.normal_form(A)
     lead = A.col_labels[:k]
     for i in C.row_labels:  # row labels of C are the leading column labels
@@ -1068,7 +1064,7 @@ def check_duality(ctx: CheckContext):
     ring = ctx.ring
     k = 2
     n = ctx.n
-    A = _wide(ctx, k, n)
+    A = ctx.draw.matrix(ctx.ring, k, n)
     B = pl.kernel_complement(A)
     if B is None:
         raise DomainError("degenerate kernel dimension")
@@ -1095,7 +1091,7 @@ def check_duality(ctx: CheckContext):
 def check_k_step(ctx: CheckContext):
     k = 3
     n = ctx.n
-    A = _wide(ctx, k, n)
+    A = ctx.draw.matrix(ctx.ring, k, n)
     Ap = A.select(A.row_labels[: k - 1], A.col_labels)
     cols = list(range(1, n + 1))
     picked = ctx.draw.subset(cols, k - 2)
@@ -1324,7 +1320,7 @@ def check_gauss(ctx: CheckContext):
 def check_flag(ctx: CheckContext):
     ring = ctx.ring
     k = 2 if ctx.n <= 4 else 3
-    A = _wide(ctx, k, ctx.n)
+    A = ctx.draw.matrix(ctx.ring, k, ctx.n)
     rows = []
     for r in range(k):
         row = []

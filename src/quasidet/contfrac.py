@@ -15,7 +15,8 @@ from operator import mul
 from typing import Sequence
 
 from .matrix import NcMatrix
-from .qdet import qdet
+# qdet stays importable here: bench/tracer.py wraps it under this name
+from .qdet import qdet, trailing_chain
 from .rings import (
     DomainError,
     MatScalar,
@@ -268,11 +269,12 @@ def d_product(B: NcMatrix, start: int, end: int):
 
 def _d_suffixes(B: NcMatrix, start: int, end: int) -> dict:
     """D(k..end) for every k in start..end, built from the right by
-    D(k..end) = |B_{k..end,k..end}|_kk b_{k+1,k}^{-1} D(k+1..end): one
-    ``qdet`` per trailing corner value above the 1 x 1 corner b_{end,end}."""
+    D(k..end) = |B_{k..end,k..end}|_kk b_{k+1,k}^{-1} D(k+1..end), the
+    corners read off the trailing chain of B on start..end."""
     ring = B.ring
-    corners = [qdet(B.select(range(k, end + 1), range(k, end + 1)), k, k) for k in range(start, end)]
-    out = {end: B.entry(end, end)}
+    span = range(start, end + 1)
+    corners = trailing_chain(B.select(span, span))
+    out = {end: corners[-1]}
     for k in range(end - 1, start - 1, -1):
         out[k] = corners[k - start] * ring.invert(B.entry(k + 1, k)) * out[k + 1]
     return out

@@ -90,25 +90,20 @@ class NcMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, ring: ScalarRing, n: int, labels=None) -> "NcMatrix":
-        labels = tuple(labels) if labels is not None else tuple(range(1, n + 1))
+    def identity(cls, ring: ScalarRing, n: int) -> "NcMatrix":
         return cls(
             ring,
             [
                 [ring.one if i == j else ring.zero for j in range(n)]
                 for i in range(n)
             ],
-            labels,
-            labels,
         )
 
     @classmethod
-    def zero(cls, ring: ScalarRing, n: int, m: int, row_labels=None, col_labels=None):
+    def zero(cls, ring: ScalarRing, n: int, m: int) -> "NcMatrix":
         return cls(
             ring,
             [[ring.zero for _ in range(m)] for _ in range(n)],
-            row_labels,
-            col_labels,
         )
 
     # -- submatrices ---------------------------------------------------------
@@ -400,31 +395,6 @@ def unflatten_matrix(
         tuple(row_labels) if row_labels is not None else tuple(range(1, n_rows + 1)),
         tuple(col_labels) if col_labels is not None else tuple(range(1, n_cols + 1)),
     )
-
-
-def row_times_matrix(row: Sequence, mat: NcMatrix) -> list:
-    """Row vector times matrix, products taken as row[k] * entry."""
-    if len(row) != mat.n_rows:
-        raise ValueError("shape mismatch")
-    out = []
-    for c in range(mat.n_cols):
-        acc = mat.ring.zero
-        for k, x in enumerate(row):
-            acc = acc + x * mat.entries[k][c]
-        out.append(acc)
-    return out
-
-
-def matrix_times_col(mat: NcMatrix, col: Sequence) -> list:
-    if len(col) != mat.n_cols:
-        raise ValueError("shape mismatch")
-    out = []
-    for r in range(mat.n_rows):
-        acc = mat.ring.zero
-        for k, x in enumerate(col):
-            acc = acc + mat.entries[r][k] * x
-        out.append(acc)
-    return out
 
 
 def matrix_from_expressions(obj: dict) -> NcMatrix:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import right_kernel
 from .matrix import NcMatrix, flatten_matrix, unflatten_matrix
-from .qdet import qdet
+from .qdet import qdet, trailing_chain
 from .rings import DomainError
 
 
@@ -138,12 +138,8 @@ def gauss_decompose(A: NcMatrix):
     ring = A.ring
     n = A.n_rows
     labels = list(A.row_labels)
-    if list(A.col_labels) != labels:
-        raise ValueError("matching row/column labels required")
     Y = [[ring.zero] * n for _ in range(n)]
-    for pos, k in enumerate(labels):
-        trailing = labels[pos:]
-        yk = qdet(A.select(trailing, trailing), k, k)
+    for pos, (k, yk) in enumerate(zip(labels, trailing_chain(A))):
         if ring.try_invert(yk) is None:
             raise DomainError("diagonal factor not invertible", payload=k)
         Y[pos][pos] = yk

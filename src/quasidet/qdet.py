@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactlin import schur_complement
-from .matrix import MatrixRing, NcMatrix, flatten_matrix, matrix_times_col
+from .matrix import MatrixRing, NcMatrix, flatten_matrix
 from .rings import DomainError
 
 
@@ -99,6 +99,18 @@ def _qdet_recursive(A, rows, cols, p, q, inverses):
             term = row_p[col_pos(j)] * minor_inv * e[row_pos(i)][q_pos]
             terms = term if terms is None else terms + term
     return row_p[q_pos] - terms
+
+
+def trailing_chain(A: NcMatrix) -> list:
+    """The corner quasideterminants |A_{k..n,k..n}|_kk of the trailing
+    principal submatrices, one per label k in order; the last, the 1 x 1
+    corner, is its entry.  DomainError where one is undefined."""
+    labels = A.row_labels
+    if A.col_labels != labels:
+        raise ValueError("matching row/column labels required")
+    *head, last = labels
+    corners = [qdet(A.select(labels[p:], labels[p:]), k, k) for p, k in enumerate(head)]
+    return corners + [A.entry(last, last)]
 
 
 def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
@@ -344,7 +356,8 @@ def solve_system(A: NcMatrix, rhs: Sequence, method: str = "auto") -> list:
     if method not in ("auto", "qdet"):
         raise ValueError(f"unknown method {method!r}")
     inverse = matrix_inverse(A) if method == "qdet" else A.inverse()
-    return matrix_times_col(inverse, list(rhs))
+    column = NcMatrix(A.ring, [[b] for b in rhs], A.row_labels)
+    return [row[0] for row in (inverse * column).entries]
 
 
 def cramer_pair(A: NcMatrix, rhs: Sequence, i, j):

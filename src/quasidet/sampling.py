@@ -2,7 +2,8 @@
 
 Every random decision flows through a ``Draw``; a live draw records the
 serialized form of each value it hands out, and a ``ReplayDraw`` feeds
-those values back in the same order.  Identity checks written against
+those values back in the same order, raising ValueError at a record that
+does not fit the draw that reads it.  Identity checks written against
 this interface replay counterexamples bit-exactly, in or across
 processes.  Substreams are derived by hashing (seed, tokens...) so that
 per-(identity, size, dimension, sample) streams are independent of
@@ -45,8 +46,6 @@ def sample_matrix(
     n_cols: int,
     rng: random.Random,
     profile: Optional[SampleProfile] = None,
-    row_labels=None,
-    col_labels=None,
 ) -> NcMatrix:
     return NcMatrix(
         ring,
@@ -54,8 +53,6 @@ def sample_matrix(
             [ring.random_element(rng, profile) for _ in range(n_cols)]
             for _ in range(n_rows)
         ],
-        row_labels,
-        col_labels,
     )
 
 
@@ -147,49 +144,60 @@ class Draw:
 
 
 class ReplayDraw(Draw):
-    """Feeds back a recorded draw log; raises if the shape disagrees."""
+    """Feeds back a recorded draw log.  Each record is checked against the
+    draw that reads it: its kind, its ring and shape, and that its value is
+    one the live draw could return (invertibility aside).  A record that
+    does not fit raises ValueError."""
 
     def __init__(self, log: list):
         super().__init__(random.Random(0))
         self.stored = list(log)
         self.pos = 0
 
-    def _next(self, kind: str):
+    def _next(self, kind: str, fits: Callable):
+        """The next record's value, if its kind is ``kind`` and ``fits`` takes it."""
         if self.pos >= len(self.stored):
             raise ValueError("replay log exhausted")
         rec = self.stored[self.pos]
         if rec["t"] != kind:
             raise ValueError(f"replay log mismatch: wanted {kind}, log has {rec['t']}")
+        if not fits(rec):
+            raise ValueError(f"replay log mismatch: {kind} record {self.pos} does not fit")
         self.pos += 1
         self.log.append(rec)
-        return rec
+        return rec["v"]
 
     def scalar(self, ring):
-        rec = self._next("scalar")
-        return ring.deserialize(rec["v"])
+        return ring.deserialize(self._next("scalar", lambda rec: rec["ring"] == ring.spec()))
 
     invertible_scalar = scalar
 
     def matrix(self, ring, n_rows, n_cols):
-        rec = self._next("matrix")
-        return NcMatrix.deserialize(rec["v"])
+        want = [ring.spec(), list(range(1, n_rows + 1)), list(range(1, n_cols + 1))]
+        fields = ("ring", "row_labels", "col_labels")
+        v = self._next("matrix", lambda rec: [rec["v"][k] for k in fields] == want)
+        return NcMatrix(ring, [[ring.deserialize(x) for x in row] for row in v["entries"]])
 
     def invertible_matrix(self, ring, n):
-        rec = self._next("matrix")
-        return NcMatrix.deserialize(rec["v"])
+        return self.matrix(ring, n, n)
 
     def assignment(self, names, ring):
-        rec = self._next("assignment")
-        return {k: ring.deserialize(v) for k, v in rec["v"].items()}
+        want = [ring.spec(), list(names)]
+        v = self._next("assignment", lambda rec: [rec["ring"], rec["order"]] == want)
+        return {k: ring.deserialize(v[k]) for k in names}
 
     def int_range(self, lo, hi):
-        return self._next("int")["v"]
+        return self._next("int", lambda rec: lo <= rec["v"] <= hi)
 
     def choice(self, options):
-        return options[self._next("int")["v"]]
+        return options[self._next("int", lambda rec: 0 <= rec["v"] < len(options))]
 
     def subset(self, pool, size):
-        return tuple(self._next("ints")["v"])
+        def fits(rec):
+            v = rec["v"]
+            return len(v) == size and v == sorted(set(v)) and set(v) <= set(pool)
+
+        return tuple(self._next("ints", fits))
 
     def permutation(self, n):
-        return tuple(self._next("ints")["v"])
+        return tuple(self._next("ints", lambda rec: sorted(rec["v"]) == list(range(1, n + 1))))

@@ -13,16 +13,9 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .matrix import NcMatrix, row_times_matrix
+from .matrix import NcMatrix
 from .qdet import qdet
 from .rings import ScalarRing, TruncatedSeriesRing
-
-
-def scalar_power(ring: ScalarRing, x, k: int):
-    acc = ring.one
-    for _ in range(k):
-        acc = acc * x
-    return acc
 
 
 def power_matrix(ring: ScalarRing, values: Sequence) -> NcMatrix:
@@ -160,9 +153,9 @@ def coeffs_from_roots(ring: ScalarRing, xs: Sequence) -> list:
     every root, solved from the right-linear system over the power matrix."""
     n = len(xs)
     W = power_matrix(ring, xs)
-    rhs = [-scalar_power(ring, x, n) for x in xs]
+    rhs = -_power_rows(ring, xs, (n,))
     Winv = W.inverse()
-    return row_times_matrix(rhs, Winv)
+    return list((rhs * Winv).entries[0])
 
 
 def annihilation_value(ring: ScalarRing, coeffs: Sequence, w):

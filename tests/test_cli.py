@@ -113,6 +113,21 @@ def test_replay_in_a_separate_process(tmp_path, capsys):
     assert '"reproduced": true' in proc.stdout
 
 
+def test_replay_of_an_edited_draw_log_is_a_usage_error(tmp_path, capsys):
+    report_path = tmp_path / "out.json"
+    assert main(["verify", "--only", "FALSE-COMMUTE", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    (entry,) = report["identities"]
+    first = entry["counterexample"]["draws"][0]
+    assert first["ring"] == {"kind": "matrices", "d": 2}
+    first["ring"] = {"kind": "matrices", "d": 3}
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    code = main(["replay", "--report", str(report_path), "--id", "FALSE-COMMUTE"])
+    assert code == 3
+    assert "replay log mismatch" in capsys.readouterr().err
+
+
 def test_verify_filters_dims(capsys):
     code = main(
         ["verify", "--only", "RING-AXIOMS", "--dims", "1", "--samples", "2"]

@@ -22,6 +22,7 @@ from quasidet.qdet import (
     replace_col,
     solve_system,
     sylvester_matrix,
+    trailing_chain,
 )
 from quasidet.rings import DomainError, Rationals, SquareMatrices, TruncatedSeriesRing
 from quasidet.sampling import sample_matrix
@@ -135,7 +136,7 @@ class TestExpansion:
         rows, cols = (4, 6, 9), (1, 3, 5)
         defined = 0
         for _ in range(4):
-            A = sample_matrix(ring, 3, 3, rng, row_labels=rows, col_labels=cols)
+            A = NcMatrix(ring, sample_matrix(ring, 3, 3, rng).entries, rows, cols)
             for p in rows:
                 for q in cols:
                     for l in cols:
@@ -220,6 +221,18 @@ class TestHadamard:
 
 
 class TestHeredity:
+    def test_trailing_chain_is_each_trailing_corner(self, rng, M2):
+        labels = (3, 5, 8, 9)
+
+        def relabeled(M):
+            return NcMatrix(M2, M.entries, labels, labels)
+
+        chain, M = sample_nondegenerate(M2, 4, rng, lambda M: trailing_chain(relabeled(M)))
+        A = relabeled(M)
+        expected = [qdet(A.select(labels[p:], labels[p:]), k, k) for p, k in enumerate(labels)]
+        assert chain == expected
+        assert chain[-1] == A.entry(9, 9)
+
     def test_trivial_partition_is_plain_qdet(self, rng, Q):
         A = sample_matrix(Q, 3, 3, rng)
         v, _ = sample_nondegenerate(
@@ -393,9 +406,7 @@ class TestLinearSystems:
                 x = solve_system(A, rhs, "qdet")
             except DomainError:
                 continue
-            from quasidet.matrix import matrix_times_col
-
-            assert matrix_times_col(A, x) == rhs
+            assert A * NcMatrix(M2, [[v] for v in x]) == NcMatrix(M2, [[b] for b in rhs])
             hits += 1
 
     def test_cramer_one_by_one(self, Q):

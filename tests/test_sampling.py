@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -112,3 +113,101 @@ def test_rejected_tries_replay_through_the_log():
     ctx = CheckContext(draw=replay, ring=ring, n=count, d=1)
     assert _independent_values(ctx, count) == drawn
     assert replay.pos == len(draw.log)
+
+
+M2, M3 = SquareMatrices(2), SquareMatrices(3)
+D3 = {"kind": "matrices", "d": 3}
+
+
+def _set(key, value):
+    def edit(rec):
+        rec[key] = value
+
+    return edit
+
+
+def _keep(rec):
+    pass
+
+
+# each case: a live draw, an edit of its one record, and the replayed draw
+# that must refuse the edited record
+REFUSED = {
+    "scalar-ring": (lambda d: d.scalar(M2), _set("ring", D3), lambda r: r.scalar(M2)),
+    "assignment-ring": (
+        lambda d: d.assignment(["x"], M2),
+        _set("ring", D3),
+        lambda r: r.assignment(["x"], M2),
+    ),
+    "assignment-order": (
+        lambda d: d.assignment(["x", "y"], Rationals()),
+        _keep,
+        lambda r: r.assignment(["y", "x"], Rationals()),
+    ),
+    "matrix-ring": (lambda d: d.matrix(M2, 2, 2), _keep, lambda r: r.matrix(M3, 2, 2)),
+    "matrix-shape": (
+        lambda d: d.matrix(Rationals(), 2, 3),
+        _keep,
+        lambda r: r.matrix(Rationals(), 3, 2),
+    ),
+    "invertible-matrix-shape": (
+        lambda d: d.invertible_matrix(Rationals(), 2),
+        _keep,
+        lambda r: r.invertible_matrix(Rationals(), 3),
+    ),
+    "int-above-range": (lambda d: d.int_range(1, 6), _set("v", 7), lambda r: r.int_range(1, 6)),
+    "choice-negative": (
+        lambda d: d.choice([1, 2, 3]),
+        _set("v", -1),
+        lambda r: r.choice([1, 2, 3]),
+    ),
+    "subset-unsorted": (
+        lambda d: d.subset(range(1, 8), 2),
+        _set("v", [3, 1]),
+        lambda r: r.subset(range(1, 8), 2),
+    ),
+    "subset-repeat": (
+        lambda d: d.subset(range(1, 8), 2),
+        _set("v", [2, 2]),
+        lambda r: r.subset(range(1, 8), 2),
+    ),
+    "subset-outside-pool": (
+        lambda d: d.subset(range(1, 8), 2),
+        _set("v", [1, 9]),
+        lambda r: r.subset(range(1, 8), 2),
+    ),
+    "subset-size": (
+        lambda d: d.subset(range(1, 8), 2),
+        _set("v", [1, 2, 3]),
+        lambda r: r.subset(range(1, 8), 2),
+    ),
+    "permutation-repeat": (
+        lambda d: d.permutation(2),
+        _set("v", [3, 3]),
+        lambda r: r.permutation(2),
+    ),
+    "permutation-size": (
+        lambda d: d.permutation(2),
+        _set("v", [1, 2, 3]),
+        lambda r: r.permutation(2),
+    ),
+}
+
+
+@pytest.mark.parametrize("draw_one,edit,replay_one", list(REFUSED.values()), ids=list(REFUSED))
+def test_replay_refuses_a_record_its_draw_cannot_return(draw_one, edit, replay_one):
+    draw = Draw(random.Random(3))
+    draw_one(draw)
+    (rec,) = copy.deepcopy(draw.log)
+    edit(rec)
+    replay = ReplayDraw([rec])
+    with pytest.raises(ValueError, match="^replay log mismatch"):
+        replay_one(replay)
+    assert replay.pos == 0
+
+
+def test_replayed_matrix_is_over_the_callers_ring():
+    draw = Draw(random.Random(3))
+    drawn = draw.matrix(M2, 2, 2)
+    replayed = ReplayDraw(draw.log).matrix(M2, 2, 2)
+    assert replayed == drawn and replayed.ring is M2
