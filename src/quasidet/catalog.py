@@ -1238,7 +1238,7 @@ def check_inverse_times_block(ctx: CheckContext):
     A = ctx.draw.matrix(ctx.ring, n, m)
     Bm = A.select(A.row_labels, A.col_labels[:n])
     Cm = A.select(A.row_labels, A.col_labels[n:])
-    D = Bm.inverse() * Cm
+    D = Bm.solve(Cm)
     for pos_i, i in enumerate(D.row_labels):
         for k in D.col_labels:
             I = tuple(c for c in A.col_labels[:n] if c != i)

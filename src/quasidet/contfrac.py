@@ -243,14 +243,29 @@ def series_denominator(A: NcMatrix):
 
 
 def _series_sum(A: NcMatrix, first_row: int):
+    """sum over rows r >= first_row of the row-r chain sum
+    chain_sum(A, first_row, range(first_row, r - 1), r) times the inverse
+    tail a_rr^-1 ... a_11^-1.  The chain sums come from the prefix sums
+    P(j) = chain_sum(A, first_row, range(first_row, j), j), which satisfy
+    P(j) = a_{first_row,j} + sum_{first_row<=i<j} P(i) a_{i+1,j} (split a
+    chain at its last step): the row-r chain sum is a_{first_row,r} +
+    sum_{first_row<=j<=r-2} P(j) a_{j+1,r}, and P(r) is that plus
+    P(r-1) a_rr.  Each P(j) is a sum of the same words as the
+    enumeration, so the value is the same."""
     ring = A.ring
+    e = A.entry
     acc = ring.zero
     inv_tail = ring.one
+    prefix = {}  # j -> P(j)
     for r in range(1, A.n_rows + 1):
-        inv_tail = ring.invert(A.entry(r, r)) * inv_tail
-        if r >= first_row:
-            term = chain_sum(A, first_row, range(first_row, r - 1), r)
-            acc = acc + term * inv_tail
+        inv_tail = ring.invert(e(r, r)) * inv_tail
+        if r < first_row:
+            continue
+        term = e(first_row, r)
+        for j in range(first_row, r - 1):
+            term = term + prefix[j] * e(j + 1, r)
+        prefix[r] = term + prefix[r - 1] * e(r, r) if r > first_row else term
+        acc = acc + term * inv_tail
     return acc
 
 

@@ -1,13 +1,14 @@
 """Exact linear algebra over plain rational matrices (ints or Fractions).
 
-These routines back the flattened inversion of matrices over rational
-and matrix-scalar rings, the Schur-complement route to their
+These routines back the flattened solves and inverses of matrices over
+rational and matrix-scalar rings, the Schur-complement route to their
 quasideterminants, the commutative determinant checks and the kernel
 construction used by the duality identity.  Everything is exact.  The
-inverse, the Schur complement, the rank and the right kernel share one
-fraction-free elimination core on Python ints (Gauss-Jordan, or forward
-only for the Schur complement); the determinant runs its own Bareiss
-elimination so it stays an independent route from that core.
+solve (and the inverse, a solve of the identity), the Schur complement,
+the rank and the right kernel share one fraction-free elimination core
+on Python ints (Gauss-Jordan, or forward only for the Schur complement);
+the determinant runs its own Bareiss elimination so it stays an
+independent route from that core.
 
 The flattening of a matrix over a rational-embeddable ring reaches this
 module as an int matrix ``num`` with one positive scale per row: the
@@ -103,22 +104,32 @@ def _eliminate(m, n_cols, n_pivot_rows=None):
     return pivots, prev
 
 
+def solve_rows(m):
+    """Solve ``num X = rhs`` from the int rows ``m = [num | rhs]`` of a
+    square ``num`` (eliminated in place).
+
+    Returns ``(x, den)`` with X equal to ``x / den``, or None when ``num``
+    is singular.
+    """
+    n = len(m)
+    # elimination takes [num | rhs] to [p I | p num^-1 rhs]
+    pivots, p = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in m], p
+
+
 def invert_scaled(num, scales):
-    """Inverse of ``diag(scales)^-1 num`` for a square int matrix ``num``.
+    """Inverse of ``diag(scales)^-1 num`` for a square int matrix ``num``,
+    which is ``num^-1 diag(scales)``.
 
     Returns ``(inv, den)`` with the inverse equal to ``inv / den``, or
     None when singular.
     """
     n = len(num)
-    # elimination takes [num | diag(scales)] to [p I | p num^-1 diag(scales)]
-    m = [
-        [*row, *(scales[i] if j == i else 0 for j in range(n))]
-        for i, row in enumerate(num)
-    ]
-    pivots, p = _eliminate(m, n)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in m], p
+    return solve_rows(
+        [[*row, *(scales[i] if j == i else 0 for j in range(n))] for i, row in enumerate(num)]
+    )
 
 
 def schur_complement(num, scales, k):

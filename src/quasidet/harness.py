@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 from .catalog import CATALOG, CheckContext, IdentityDescriptor, MismatchFound, get_identity
@@ -45,8 +46,10 @@ NO_CELLS = "no_cells"
 ERROR = "error"
 
 
+@cache
 def ring_for_dimension(d: int) -> ScalarRing:
-    """Evaluation ring for dimension d: rationals at 1, matrices above."""
+    """Evaluation ring for dimension d: rationals at 1, matrices above;
+    one ring per d, built on first use."""
     return Rationals() if d == 1 else SquareMatrices(d)
 
 

@@ -17,9 +17,10 @@ from typing import Sequence
 
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
-from .exactlin import invert_rational, invert_scaled
+from .exactlin import invert_rational, invert_scaled, solve_rows
 from .rings import (
-    DomainError, Rationals, ScalarRing, SeriesElement, TruncatedSeriesRing, ring_from_spec
+    DomainError, Rationals, ScalarRing, SeriesElement, TruncatedSeriesRing, _is_grid,
+    ring_from_spec,
 )
 
 
@@ -283,44 +284,80 @@ class NcMatrix:
         ring = self.ring
         return all(ring.is_zero(x) for row in self.entries for x in row)
 
-    # -- inversion ------------------------------------------------------------
+    # -- inversion and solving ------------------------------------------------
 
     def inverse(self) -> "NcMatrix":
         """Exact two-sided inverse; DomainError when singular.
 
         Over a ring with ``flat_dim`` the matrix is flattened to one int
-        matrix and inverted there.  Over truncated series it is one series
-        over the n x n matrices, M_n(R[[t]]) = M_n(R)[[t]], inverted order
-        by order by that ring's ``try_invert``.  Any other ring, and series
-        over one, has no matrix inverse: ``flatten_matrix`` raises TypeError.
+        matrix and inverted there.  Over truncated series it is ``solve``
+        of the identity.  Any other ring, and series over one, has no
+        matrix inverse: ``flatten_matrix`` raises TypeError.
         """
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
         ring = self.ring
-        n = self.n_rows
         if isinstance(ring, TruncatedSeriesRing):
-            labels = tuple(range(1, n + 1))
-            T = TruncatedSeriesRing(MatrixRing(ring.base, n), ring.order)
-            coeff_rows = (
-                tuple(tuple(x.coeffs[k] for x in row) for row in self.entries)
-                for k in range(ring.order + 1)
-            )
-            coeffs = [NcMatrix._make(ring.base, r, labels, labels) for r in coeff_rows]
-            inv = T.try_invert(SeriesElement(T, coeffs))
-            if inv is None:
-                raise DomainError("matrix is singular over " + ring.name, payload=self)
-            rows = tuple(
-                tuple(
-                    SeriesElement(ring, [c.entries[i][j] for c in inv.coeffs])
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            return NcMatrix._make(ring, rows, self.col_labels, self.row_labels)
+            one = NcMatrix.identity(ring, self.n_rows).entries
+            return self.solve(NcMatrix._make(ring, one, self.row_labels, self.row_labels))
         inv = invert_scaled(*flatten_matrix(ring, self.entries))
         if inv is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
+        n = self.n_rows
         return unflatten_matrix(ring, *inv, n, n, self.col_labels, self.row_labels)
+
+    def solve(self, B: "NcMatrix") -> "NcMatrix":
+        """X with ``self * X == B``, for square ``self`` and B with the
+        same row labels (else ValueError); X has rows labelled by this
+        matrix's columns and columns by B's.  DomainError when singular,
+        TypeError over a ring with no matrix inverse, as for ``inverse``.
+
+        Over a ring with ``flat_dim`` this is one elimination of the
+        flattened rows [M | B].  Over truncated series M = sum M_i t^i it is
+        the order recursion X_k = M_0^-1 (B_k - sum_{i>=1} M_i X_{k-i}),
+        with M_0 inverted once over the base and zero M_i skipped.
+        """
+        if not self.is_square():
+            raise ValueError("only square matrices can be solved against")
+        if self.row_labels != B.row_labels:
+            raise ValueError("solve needs the right side's row labels equal to the matrix's")
+        ring = self.ring
+        if isinstance(ring, TruncatedSeriesRing):
+            return self._solve_series(B)
+        num, _ = flatten_matrix(ring, [(*a, *b) for a, b in zip(self.entries, B.entries)])
+        x = solve_rows(num)  # each row's scale cancels from both sides
+        if x is None:
+            raise DomainError("matrix is singular over " + ring.name, payload=self)
+        return unflatten_matrix(ring, *x, self.n_rows, B.n_cols, self.col_labels, B.col_labels)
+
+    def _solve_series(self, B: "NcMatrix") -> "NcMatrix":
+        ring = self.ring
+        base = ring.base
+        rows, cols, out_cols = self.row_labels, self.col_labels, B.col_labels
+
+        def coeff(X, k, col_labels):  # the t^k coefficient matrix of X
+            entries = tuple(tuple(x.coeffs[k] for x in row) for row in X.entries)
+            return NcMatrix._make(base, entries, rows, col_labels)
+
+        try:
+            inv0 = coeff(self, 0, cols).inverse()
+        except DomainError:
+            raise DomainError("matrix is singular over " + ring.name, payload=self) from None
+        tail = [(i, coeff(self, i, cols)) for i in range(1, ring.order + 1)]
+        tail = [(i, Mi) for i, Mi in tail if not Mi.is_zero_matrix()]
+        X = []
+        for k in range(ring.order + 1):
+            rhs = coeff(B, k, out_cols)
+            for i, Mi in tail:
+                if i > k:
+                    break
+                rhs = rhs - Mi * X[k - i]
+            X.append(inv0 * rhs)
+        entries = tuple(
+            tuple(SeriesElement(ring, [Xk.entries[r][c] for Xk in X]) for c in range(B.n_cols))
+            for r in range(self.n_rows)
+        )
+        return NcMatrix._make(ring, entries, cols, out_cols)
 
     # -- serialization ---------------------------------------------------------
 
@@ -504,6 +541,8 @@ class MatrixRing(ScalarRing):
         return [[self.base.serialize(x) for x in row] for row in a.entries]
 
     def deserialize(self, obj):
+        if not _is_grid(obj, self.n, self.n):
+            raise ValueError(f"{self.name} holds {self.n}x{self.n} rows of {self.base.name}")
         return NcMatrix(
             self.base, [[self.base.deserialize(x) for x in row] for row in obj]
         )

@@ -120,7 +120,7 @@ def normal_form(A: NcMatrix):
     k = A.n_rows
     lead_cols = A.col_labels[:k]
     B = A.select(A.row_labels, lead_cols)
-    C = B.inverse() * A
+    C = B.solve(A)
     return C, B
 
 

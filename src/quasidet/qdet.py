@@ -12,8 +12,9 @@ Over a ring that embeds in k x k rational matrices the minor-inverse
 formula is the k x k Schur complement of the flattened minor (heredity,
 in its commutative shadow), read off one fraction-free elimination with
 no inverse built.  Over truncated series the route is ``block_qdet``
-at the 1 x 1 pivot block: the one triple product of heredity, through
-the minor's inverse taken as one series over matrices.  Q(q) and series
+at the 1 x 1 pivot block: the Schur complement of heredity, through one
+solve of the minor against the pivot column, order by order in the
+series variable, with no inverse of the minor built.  Q(q) and series
 over it have no matrix inverse, so only the recursion evaluates there
 beyond 1 x 1.  The routes agree wherever both are defined, which the
 test harness checks exhaustively at small sizes.
@@ -204,8 +205,8 @@ def block_qdet(A: NcMatrix, rows: Sequence, cols: Sequence) -> NcMatrix:
     ``rows`` and column labels ``cols``, as a matrix.
 
     With M the complement (A without those rows and columns) this is the
-    Schur complement A_PQ - A_{P,Q'} M^{-1} A_{P',Q}, one triple product
-    through the inverse of M.
+    Schur complement A_PQ - A_{P,Q'} M^{-1} A_{P',Q}, with M^{-1} A_{P',Q}
+    one ``solve`` of M against the pivot columns: M^{-1} is never built.
     """
     S = A.select(rows, cols)
     if S.n_rows == A.n_rows and S.n_cols == A.n_cols:
@@ -213,7 +214,7 @@ def block_qdet(A: NcMatrix, rows: Sequence, cols: Sequence) -> NcMatrix:
     M = A.delete_sets(rows, cols)
     if not M.is_square():
         raise ValueError("complementary block matrix must be square")
-    return S - A.select(rows, M.col_labels) * M.inverse() * A.select(M.row_labels, cols)
+    return S - A.select(rows, M.col_labels) * M.solve(A.select(M.row_labels, cols))
 
 
 def heredity_via_block_ring(
@@ -348,16 +349,16 @@ def solve_system(A: NcMatrix, rhs: Sequence, method: str = "auto") -> list:
     """Solve A x = rhs; x_i = sum_j qdet(A)_{ji}^{-1} rhs_j.
 
     method "qdet" multiplies by ``matrix_inverse`` (the quasideterminant
-    route); "auto" by the eliminated inverse (same value by the
+    route); "auto" solves by elimination, ``A.solve`` (same value by the
     inverse-entry identity, and defined wherever A is invertible).
     """
     if not A.is_square() or len(rhs) != A.n_rows:
         raise ValueError("square system required")
     if method not in ("auto", "qdet"):
         raise ValueError(f"unknown method {method!r}")
-    inverse = matrix_inverse(A) if method == "qdet" else A.inverse()
     column = NcMatrix(A.ring, [[b] for b in rhs], A.row_labels)
-    return [row[0] for row in (inverse * column).entries]
+    x = matrix_inverse(A) * column if method == "qdet" else A.solve(column)
+    return [row[0] for row in x.entries]
 
 
 def cramer_pair(A: NcMatrix, rhs: Sequence, i, j):

@@ -144,6 +144,26 @@ def _ratio(n: int, d: int) -> Rat:
 _ZERO, _ONE = _rat(0, 1), _rat(1, 1)
 
 
+def _parse_rational(obj) -> Rat:
+    """The Rat that the string ``obj`` writes (as ``Fraction`` reads it);
+    ValueError for anything else, a zero denominator included."""
+    if not isinstance(obj, str):
+        raise ValueError(f"a rational is written as a string, not {type(obj).__name__}")
+    try:
+        return Rat(obj)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {obj!r}") from None
+
+
+def _is_grid(obj, n: int, m: int) -> bool:
+    """Whether ``obj`` is a list of ``n`` lists of ``m`` values each."""
+    return (
+        isinstance(obj, list)
+        and len(obj) == n
+        and all(isinstance(row, list) and len(row) == m for row in obj)
+    )
+
+
 def format_fraction(x: Fraction) -> str:
     # canonical: reduced, positive denominator, "/q" omitted for integers
     if x.denominator == 1:
@@ -285,7 +305,7 @@ class Rationals(ScalarRing):
         return format_fraction(a)
 
     def deserialize(self, obj):
-        return Rat(obj)
+        return _parse_rational(obj)
 
     def spec(self):
         return {"kind": "rationals"}
@@ -544,7 +564,9 @@ class SquareMatrices(ScalarRing):
         return out
 
     def deserialize(self, obj):
-        return MatScalar([[Fraction(x) for x in r] for r in obj])
+        if not _is_grid(obj, self.d, self.d):
+            raise ValueError(f"{self.name} holds {self.d}x{self.d} rows of rationals")
+        return MatScalar([[_parse_rational(x) for x in r] for r in obj])
 
     def spec(self):
         return {"kind": "matrices", "d": self.d}
@@ -638,10 +660,11 @@ class TruncatedSeriesRing(ScalarRing):
     """Series truncated at a fixed order over an arbitrary base ring.
 
     Invertible iff the order-0 coefficient is invertible in the base
-    ring; the inverse is computed order by order and is exact.  Over a
-    ``MatrixRing`` base it inverts matrices over series
-    (``NcMatrix.inverse``).  No ``flat_dim``: the block Toeplitz
-    embedding is exact but slower to eliminate than this recursion.
+    ring; the inverse is computed order by order and is exact.  Matrices
+    over series are solved and inverted by the same order recursion over
+    their coefficient matrices (``NcMatrix.solve``).  No ``flat_dim``: the
+    block Toeplitz embedding is exact but slower to eliminate than that
+    recursion.
     """
 
     def __init__(self, base: ScalarRing, order: int, variable: str = "t"):
@@ -713,8 +736,10 @@ class TruncatedSeriesRing(ScalarRing):
         return {str(k): self.base.serialize(c) for k, c in enumerate(a.coeffs)}
 
     def deserialize(self, obj):
-        coeffs = [self.base.deserialize(obj[str(k)]) for k in range(self.order + 1)]
-        return SeriesElement(self, coeffs)
+        keys = [str(k) for k in range(self.order + 1)]
+        if not isinstance(obj, dict) or obj.keys() != set(keys):
+            raise ValueError(f"{self.name} holds exactly the coefficients 0..{self.order}")
+        return SeriesElement(self, [self.base.deserialize(obj[k]) for k in keys])
 
     def spec(self):
         return {
@@ -986,10 +1011,13 @@ class QRationalFunctions(ScalarRing):
         }
 
     def deserialize(self, obj):
-        return QRat(
-            tuple(Fraction(c) for c in obj["num"]),
-            tuple(Fraction(c) for c in obj["den"]),
-        )
+        lists = isinstance(obj, dict) and obj.keys() == {"num", "den"}
+        if not lists or not all(isinstance(c, list) for c in obj.values()):
+            raise ValueError(f"{self.name} holds a num and a den coefficient list")
+        den = tuple(_parse_rational(c) for c in obj["den"])
+        if not any(den):
+            raise ValueError(f"zero denominator in {obj!r}")
+        return QRat(tuple(_parse_rational(c) for c in obj["num"]), den)
 
     def spec(self):
         return {"kind": "qrationals"}

@@ -17,7 +17,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from .matrix import NcMatrix
-from .rings import DomainError, SampleProfile, ScalarRing
+from .rings import DomainError, SampleProfile, ScalarRing, _is_grid
 
 # tries per sample slot in ``run_identity`` and per ``Draw.until`` loop
 RESAMPLE_LIMIT = 50
@@ -146,16 +146,18 @@ class Draw:
 class ReplayDraw(Draw):
     """Feeds back a recorded draw log.  Each record is checked against the
     draw that reads it: its kind, its ring and shape, and that its value is
-    one the live draw could return (invertibility aside).  A record that
-    does not fit raises ValueError."""
+    one the live draw could return, invertibility included.  A record that
+    does not fit raises ValueError and is not consumed."""
 
     def __init__(self, log: list):
         super().__init__(random.Random(0))
         self.stored = list(log)
         self.pos = 0
 
-    def _next(self, kind: str, fits: Callable):
-        """The next record's value, if its kind is ``kind`` and ``fits`` takes it."""
+    def _next(self, kind: str, fits: Callable, read: Callable = lambda v: v):
+        """``read`` of the next record's value, if its kind is ``kind`` and
+        ``fits`` takes it; ``read`` raises ValueError on a value the draw
+        could not return."""
         if self.pos >= len(self.stored):
             raise ValueError("replay log exhausted")
         rec = self.stored[self.pos]
@@ -163,28 +165,62 @@ class ReplayDraw(Draw):
             raise ValueError(f"replay log mismatch: wanted {kind}, log has {rec['t']}")
         if not fits(rec):
             raise ValueError(f"replay log mismatch: {kind} record {self.pos} does not fit")
+        try:
+            value = read(rec["v"])
+        except ValueError as err:
+            raise ValueError(
+                f"replay log mismatch: {kind} record {self.pos} does not fit: {err}"
+            ) from None
         self.pos += 1
         self.log.append(rec)
-        return rec["v"]
+        return value
 
     def scalar(self, ring):
-        return ring.deserialize(self._next("scalar", lambda rec: rec["ring"] == ring.spec()))
+        return self._next("scalar", lambda rec: rec["ring"] == ring.spec(), ring.deserialize)
 
-    invertible_scalar = scalar
+    def invertible_scalar(self, ring):
+        def read(v):
+            x = ring.deserialize(v)
+            if ring.try_invert(x) is None:
+                raise ValueError(f"not invertible in {ring.name}")
+            return x
+
+        return self._next("scalar", lambda rec: rec["ring"] == ring.spec(), read)
 
     def matrix(self, ring, n_rows, n_cols):
-        want = [ring.spec(), list(range(1, n_rows + 1)), list(range(1, n_cols + 1))]
-        fields = ("ring", "row_labels", "col_labels")
-        v = self._next("matrix", lambda rec: [rec["v"][k] for k in fields] == want)
-        return NcMatrix(ring, [[ring.deserialize(x) for x in row] for row in v["entries"]])
+        return self._matrix(ring, n_rows, n_cols, lambda mat: mat)
 
     def invertible_matrix(self, ring, n):
-        return self.matrix(ring, n, n)
+        def invertible(mat):
+            try:
+                mat.inverse()
+            except DomainError:
+                raise ValueError(f"singular over {ring.name}") from None
+            return mat
+
+        return self._matrix(ring, n, n, invertible)
+
+    def _matrix(self, ring, n_rows, n_cols, check: Callable):
+        want = [ring.spec(), list(range(1, n_rows + 1)), list(range(1, n_cols + 1))]
+        fields = ("ring", "row_labels", "col_labels")
+
+        def fits(rec):
+            v = rec["v"]
+            return [v[k] for k in fields] == want and _is_grid(v["entries"], n_rows, n_cols)
+
+        def read(v):
+            entries = [[ring.deserialize(x) for x in row] for row in v["entries"]]
+            return check(NcMatrix(ring, entries))
+
+        return self._next("matrix", fits, read)
 
     def assignment(self, names, ring):
         want = [ring.spec(), list(names)]
-        v = self._next("assignment", lambda rec: [rec["ring"], rec["order"]] == want)
-        return {k: ring.deserialize(v[k]) for k in names}
+        return self._next(
+            "assignment",
+            lambda rec: [rec["ring"], rec["order"]] == want,
+            lambda v: {k: ring.deserialize(v[k]) for k in names},
+        )
 
     def int_range(self, lo, hi):
         return self._next("int", lambda rec: lo <= rec["v"] <= hi)

@@ -96,6 +96,28 @@ def continued_fraction_tower(diag):
     return acc
 
 
+def series_sum_by_chains(A, first_row):
+    """sum over rows r >= first_row of the chain words
+    a_{first_row,j_1} a_{j_1+1,j_2} ... a_{j_k+1,r}, one for every subset
+    {j_1 < ... < j_k} of first_row..r-2, each times the inverse tail
+    a_rr^-1 ... a_11^-1: every chain enumerated, over the matrix's ring."""
+    ring = A.ring
+    acc, tail = ring.zero, ring.one
+    for r in range(1, A.n_rows + 1):
+        tail = ring.invert(A.entry(r, r)) * tail
+        if r < first_row:
+            continue
+        pool = range(first_row, r - 1)
+        for k in range(len(pool) + 1):
+            for subset in combinations(pool, k):
+                word, row = ring.one, first_row
+                for j in subset:
+                    word = word * A.entry(row, j)
+                    row = j + 1
+                acc = acc + word * A.entry(row, r) * tail
+    return acc
+
+
 def vandermonde_ratio_classical(values):
     """Signed alternant ratio matching the corner pivot convention."""
     m = len(values)

@@ -113,19 +113,49 @@ def test_replay_in_a_separate_process(tmp_path, capsys):
     assert '"reproduced": true' in proc.stdout
 
 
-def test_replay_of_an_edited_draw_log_is_a_usage_error(tmp_path, capsys):
+def _replay_edited(ident, edit, tmp_path, capsys):
+    """Exit code and standard error of replaying ``ident``'s counterexample
+    after ``edit`` of its draw log."""
     report_path = tmp_path / "out.json"
-    assert main(["verify", "--only", "FALSE-COMMUTE", "--report", str(report_path)]) == 0
+    assert main(["verify", "--only", ident, "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     (entry,) = report["identities"]
-    first = entry["counterexample"]["draws"][0]
-    assert first["ring"] == {"kind": "matrices", "d": 2}
-    first["ring"] = {"kind": "matrices", "d": 3}
+    edit(entry["counterexample"]["draws"])
     report_path.write_text(json.dumps(report))
     capsys.readouterr()
-    code = main(["replay", "--report", str(report_path), "--id", "FALSE-COMMUTE"])
+    code = main(["replay", "--report", str(report_path), "--id", ident])
+    return code, capsys.readouterr().err
+
+
+def test_replay_of_an_edited_draw_log_is_a_usage_error(tmp_path, capsys):
+    def edit(draws):
+        assert draws[0]["ring"] == {"kind": "matrices", "d": 2}
+        draws[0]["ring"] = {"kind": "matrices", "d": 3}
+
+    code, err = _replay_edited("FALSE-COMMUTE", edit, tmp_path, capsys)
     assert code == 3
-    assert "replay log mismatch" in capsys.readouterr().err
+    assert "replay log mismatch" in err
+
+
+def _edit_first_matrix_entry(draws):
+    first = next(rec for rec in draws if rec["t"] == "matrix")
+    first["v"]["entries"][0][0] = ["1", "2"]
+
+
+def _edit_first_scalar_to_3x3(draws):
+    assert draws[0]["ring"] == {"kind": "matrices", "d": 2}
+    draws[0]["v"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "ident,edit",
+    [("FALSE-COMMUTE", _edit_first_scalar_to_3x3), ("FALSE-QDET-ENTRY", _edit_first_matrix_entry)],
+    ids=["3x3-under-M2", "list-for-a-rational"],
+)
+def test_replay_of_a_value_its_ring_cannot_hold_is_a_usage_error(ident, edit, tmp_path, capsys):
+    code, err = _replay_edited(ident, edit, tmp_path, capsys)
+    assert code == 3
+    assert "replay log mismatch" in err
 
 
 def test_verify_filters_dims(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import continued_fraction_tower, det_leibniz
+from oracles import continued_fraction_tower, det_leibniz, series_sum_by_chains
 
 from quasidet.contfrac import (
     almost_triangular,
@@ -31,7 +31,9 @@ from quasidet.qdet import qdet
 from quasidet.rings import (
     DomainError,
     QRationalFunctions,
+    Rationals,
     SquareMatrices,
+    TruncatedSeriesRing,
 )
 from quasidet.sampling import Draw, ReplayDraw
 
@@ -246,6 +248,23 @@ class TestSeriesRatio:
             T = A.ring
             lhs = qdet(A, 1, 1)
             assert series_numerator(A) * T.invert(series_denominator(A)) == lhs
+
+    @pytest.mark.parametrize("base", [Rationals(), SquareMatrices(2)], ids=lambda b: b.name)
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_series_sums_equal_the_chain_enumeration(self, size, base, rng):
+        # generic series entries: no chain vanishes by truncation, unlike
+        # the graded matrices, where a product of more than ``order`` upper
+        # entries is zero
+        T = TruncatedSeriesRing(base, 3)
+        while True:
+            A = draw_almost_triangular(Draw(rng), T, size)
+            if all(T.try_invert(A.entry(r, r)) is not None for r in range(1, size + 1)):
+                break
+        assert series_numerator(A) == series_sum_by_chains(A, 1)
+        assert series_denominator(A) == series_sum_by_chains(A, 2)
+        graded = graded_series_matrix(Draw(rng), base, 6, size)
+        assert series_numerator(graded) == series_sum_by_chains(graded, 1)
+        assert series_denominator(graded) == series_sum_by_chains(graded, 2)
 
     def test_chain_sum_empty_pool(self, rng, M2):
         A = draw_almost_triangular(Draw(rng), M2, 3)

@@ -18,6 +18,7 @@ from quasidet.harness import (
     load_report,
     replay_counterexample,
     replay_from_report,
+    ring_for_dimension,
     run_identity,
     run_suite,
     write_report,
@@ -26,6 +27,11 @@ from quasidet.matrix import MatrixRing, NcMatrix
 from quasidet.rings import SquareMatrices, ring_from_spec
 
 FAST = RunConfig(seed=0xC0FFEE, samples=3)
+
+
+def test_one_evaluation_ring_per_dimension():
+    assert [ring_for_dimension(d).name for d in (1, 2, 3)] == ["Q", "M2(Q)", "M3(Q)"]
+    assert all(ring_for_dimension(d) is ring_for_dimension(d) for d in (1, 2, 3))
 
 
 def strip_timing(report):

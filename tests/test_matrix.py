@@ -200,7 +200,8 @@ SERIES_BASES = [Rationals(), SquareMatrices(2), SquareMatrices(3)]
 
 @pytest.mark.parametrize("base", SERIES_BASES, ids=lambda b: b.name)
 class TestSeriesInverse:
-    """A matrix over R[[t]] inverts as one series over the block ring M_n(R)."""
+    """A matrix over R[[t]] inverts order by order over its coefficient
+    matrices in M_n(R)."""
 
     def test_one_by_one_is_the_element_inverse(self, base, rng):
         T = TruncatedSeriesRing(base, 3)
@@ -243,6 +244,64 @@ class TestSeriesInverse:
         one = NcMatrix.identity(T, 2).entries
         assert A * B == NcMatrix(T, one, [7, 8], [7, 8])
         assert B * A == NcMatrix(T, one, [5, 6], [5, 6])
+
+
+SOLVE_RINGS = {
+    "Q": Rationals(),
+    "M2(Q)": SquareMatrices(2),
+    "M3(Q)": SquareMatrices(3),
+    "M2(M2(Q))": MatrixRing(SquareMatrices(2), 2),
+    **{
+        f"{base.name}[[t]]/t^{order + 1}": TruncatedSeriesRing(base, order)
+        for base in (Rationals(), SquareMatrices(2))
+        for order in (0, 1, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("ring", list(SOLVE_RINGS.values()), ids=list(SOLVE_RINGS))
+class TestSolve:
+    def test_solve_is_inverse_times_right_side(self, ring, rng):
+        hits = 0
+        while hits < 3:
+            M = NcMatrix(ring, sample_matrix(ring, 3, 3, rng).entries, [7, 8, 9], [4, 5, 6])
+            B = NcMatrix(ring, sample_matrix(ring, 3, 2, rng).entries, [7, 8, 9], [1, 2])
+            try:
+                inverse = M.inverse()
+            except DomainError:
+                continue
+            X = M.solve(B)
+            assert X == inverse * B
+            assert (X.row_labels, X.col_labels) == ((4, 5, 6), (1, 2))
+            assert M * X == B
+            hits += 1
+
+    def test_singular_raises_as_inverse_does(self, ring, rng):
+        a, b = ring.random_element(rng), ring.random_element(rng)
+        M = NcMatrix(ring, [[a, b], [a, b]])
+        B = sample_matrix(ring, 2, 1, rng)
+        with pytest.raises(DomainError) as by_inverse:
+            M.inverse()
+        with pytest.raises(DomainError) as by_solve:
+            M.solve(B)
+        assert str(by_solve.value) == str(by_inverse.value) == f"matrix is singular over {ring.name}"
+        assert by_solve.value.payload is M
+
+    def test_row_labels_must_match(self, ring, rng):
+        M = sample_matrix(ring, 2, 2, rng)
+        B = NcMatrix(ring, sample_matrix(ring, 2, 1, rng).entries, [2, 1])
+        with pytest.raises(ValueError, match="row labels"):
+            M.solve(B)
+
+
+def test_solve_over_series_with_no_matrix_inverse_raises_type_error(rng):
+    # as for the inverse: Q(q) has no flattening, so neither has its series ring
+    T = TruncatedSeriesRing(QRationalFunctions(), 2)
+    M, B = sample_matrix(T, 2, 2, rng), sample_matrix(T, 2, 1, rng)
+    with pytest.raises(TypeError):
+        M.inverse()
+    with pytest.raises(TypeError):
+        M.solve(B)
 
 
 class TestVectorOps:

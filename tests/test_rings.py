@@ -458,3 +458,38 @@ def test_random_sampling_deterministic():
     a = ring.random_element(random.Random(7))
     b = ring.random_element(random.Random(7))
     assert a == b
+
+
+# each ring kind with values it cannot hold: a replayed record carrying one
+# must fail as a record that does not fit (ValueError), not in later arithmetic
+UNHOLDABLE = {
+    "Q": (Rationals(), [["1", "2"], 3, "1/0", "x", None]),
+    "M2(Q)": (
+        SquareMatrices(2),
+        [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [["1", "0"], ["0"]],
+            [["1", "0"], ["0", ["1"]]],
+            "1",
+        ],
+    ),
+    "series": (
+        TruncatedSeriesRing(Rationals(), 2),
+        [{"0": "1", "1": "0"}, {"0": "1", "1": "0", "2": "0", "3": "0"}, ["1", "0", "0"]],
+    ),
+    "matrix-ring": (
+        ring_from_spec({"kind": "matrix-ring", "base": {"kind": "rationals"}, "n": 2}),
+        [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], [["1", "0"]], {"0": "1"}],
+    ),
+    "Q(q)": (
+        QRationalFunctions(),
+        [{"num": ["1"], "den": ["0"]}, {"num": ["1"]}, {"num": "1", "den": ["1"]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("ring,values", list(UNHOLDABLE.values()), ids=list(UNHOLDABLE))
+def test_deserialize_refuses_values_the_ring_cannot_hold(ring, values):
+    for value in values:
+        with pytest.raises(ValueError):
+            ring.deserialize(value)

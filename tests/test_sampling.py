@@ -155,6 +155,31 @@ REFUSED = {
         _keep,
         lambda r: r.invertible_matrix(Rationals(), 3),
     ),
+    "invertible-scalar-zero": (
+        lambda d: d.invertible_scalar(Rationals()),
+        _set("v", "0"),
+        lambda r: r.invertible_scalar(Rationals()),
+    ),
+    "invertible-matrix-singular": (
+        lambda d: d.invertible_matrix(M2, 2),
+        lambda rec: rec["v"].update(entries=[[[["1", "2"], ["3", "4"]]] * 2] * 2),
+        lambda r: r.invertible_matrix(M2, 2),
+    ),
+    "scalar-value-wrong-size": (
+        lambda d: d.scalar(M2),
+        _set("v", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        lambda r: r.scalar(M2),
+    ),
+    "matrix-entry-not-a-rational": (
+        lambda d: d.matrix(Rationals(), 2, 2),
+        lambda rec: rec["v"]["entries"][0].__setitem__(0, ["1", "2"]),
+        lambda r: r.matrix(Rationals(), 2, 2),
+    ),
+    "matrix-entries-wrong-shape": (
+        lambda d: d.matrix(Rationals(), 2, 2),
+        lambda rec: rec["v"].update(entries=[["1", "2", "3"], ["4", "5", "6"]]),
+        lambda r: r.matrix(Rationals(), 2, 2),
+    ),
     "int-above-range": (lambda d: d.int_range(1, 6), _set("v", 7), lambda r: r.int_range(1, 6)),
     "choice-negative": (
         lambda d: d.choice([1, 2, 3]),
