@@ -267,9 +267,10 @@ def run_suite(config: Optional[RunConfig] = None) -> dict:
 
 
 def write_report(report: dict, path: str) -> None:
-    # one write: json.dump would write the indented text chunk by chunk
+    # one line, written once: json encodes in C only without ``indent``
+    # (CPython <= 3.13); ``load_report`` reads this and the indented layout
     with open(path, "w") as handle:
-        handle.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        handle.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def load_report(path: str) -> dict:
@@ -288,17 +289,17 @@ def replay_counterexample(
     "rhs"}; reproduced is true when the same comparison fails with
     bit-identical sides.
     """
+    n, d = counterexample["n"], counterexample["d"]
+    # a bool is an int to isinstance, so the type is compared exactly
+    if type(n) is not int or n < 0 or type(d) is not int or d < 1:
+        raise ValueError(f"a counterexample needs an int n >= 0 and d >= 1, got n={n!r}, d={d!r}")
     desc = desc or get_identity(counterexample["identity"])
     draw = ReplayDraw(counterexample["draws"])
-    ctx = CheckContext(
-        draw=draw,
-        ring=ring_for_dimension(counterexample["d"]),
-        n=counterexample["n"],
-        d=counterexample["d"],
-    )
+    ctx = CheckContext(draw=draw, ring=ring_for_dimension(d), n=n, d=d)
     try:
         desc.check(ctx)
     except MismatchFound as found:
+        draw.check_exhausted()
         rec = found.record
         reproduced = (
             rec["label"] == counterexample["label"]
@@ -314,12 +315,15 @@ def replay_counterexample(
             "rhs": None,
             "error": str(err),
         }
+    draw.check_exhausted()
     return {"reproduced": False, "label": "no-mismatch-on-replay", "lhs": None, "rhs": None}
 
 
 def replay_from_report(report: dict, ident: str) -> dict:
+    if not isinstance(report, dict) or not isinstance(report.get("identities"), list):
+        raise ValueError("a report is a JSON object with a list of identities")
     for entry in report["identities"]:
-        if entry["id"] == ident and entry.get("counterexample"):
+        if isinstance(entry, dict) and entry.get("id") == ident and entry.get("counterexample"):
             return replay_counterexample(entry["counterexample"])
     raise KeyError(f"no stored counterexample for {ident!r}")
 

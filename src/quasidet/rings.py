@@ -146,9 +146,22 @@ _ZERO, _ONE = _rat(0, 1), _rat(1, 1)
 
 def _parse_rational(obj) -> Rat:
     """The Rat that the string ``obj`` writes (as ``Fraction`` reads it);
-    ValueError for anything else, a zero denominator included."""
+    ValueError for anything else, a zero denominator included.
+
+    A string exactly as ``format_fraction`` writes its value is read by
+    two ``int`` calls; any other string goes to ``Fraction``'s parser,
+    so the strings accepted and their values are ``Fraction``'s."""
     if not isinstance(obj, str):
         raise ValueError(f"a rational is written as a string, not {type(obj).__name__}")
+    num, slash, den = obj.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        pass
+    else:
+        # canonical: str(int) on both sides, "/q" only for q > 1, reduced
+        if str(n) == num and (not slash or d > 1 and str(d) == den and gcd(n, d) == 1):
+            return _rat(n, d)
     try:
         return Rat(obj)
     except ZeroDivisionError:
@@ -566,7 +579,11 @@ class SquareMatrices(ScalarRing):
     def deserialize(self, obj):
         if not _is_grid(obj, self.d, self.d):
             raise ValueError(f"{self.name} holds {self.d}x{self.d} rows of rationals")
-        return MatScalar([[_parse_rational(x) for x in r] for r in obj])
+        rows = [[_parse_rational(x) for x in r] for r in obj]
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(x._denominator for r in rows for x in r))
+        num = tuple(tuple(x._numerator * (den // x._denominator) for x in r) for r in rows)
+        return _new(num, den, self.d)
 
     def spec(self):
         return {"kind": "matrices", "d": self.d}

@@ -147,7 +147,8 @@ class ReplayDraw(Draw):
     """Feeds back a recorded draw log.  Each record is checked against the
     draw that reads it: its kind, its ring and shape, and that its value is
     one the live draw could return, invertibility included.  A record that
-    does not fit raises ValueError and is not consumed."""
+    does not fit raises ValueError and is not consumed; ``check_exhausted``
+    raises one for records left over once the check is done."""
 
     def __init__(self, log: list):
         super().__init__(random.Random(0))
@@ -174,6 +175,14 @@ class ReplayDraw(Draw):
         self.pos += 1
         self.log.append(rec)
         return value
+
+    def check_exhausted(self):
+        """ValueError when records are left that no draw has read."""
+        if self.pos < len(self.stored):
+            raise ValueError(
+                f"replay log mismatch: {len(self.stored) - self.pos} record(s) "
+                f"left unread from record {self.pos}"
+            )
 
     def scalar(self, ring):
         return self._next("scalar", lambda rec: rec["ring"] == ring.spec(), ring.deserialize)

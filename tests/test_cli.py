@@ -113,18 +113,27 @@ def test_replay_in_a_separate_process(tmp_path, capsys):
     assert '"reproduced": true' in proc.stdout
 
 
-def _replay_edited(ident, edit, tmp_path, capsys):
+def _replay_rewritten(ident, rewrite, tmp_path, capsys):
     """Exit code and standard error of replaying ``ident``'s counterexample
-    after ``edit`` of its draw log."""
+    from the report that ``rewrite`` returns for the one written."""
     report_path = tmp_path / "out.json"
     assert main(["verify", "--only", ident, "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
-    (entry,) = report["identities"]
-    edit(entry["counterexample"]["draws"])
-    report_path.write_text(json.dumps(report))
+    report_path.write_text(json.dumps(rewrite(report)))
     capsys.readouterr()
     code = main(["replay", "--report", str(report_path), "--id", ident])
     return code, capsys.readouterr().err
+
+
+def _replay_edited(ident, edit, tmp_path, capsys):
+    """As ``_replay_rewritten``, after ``edit`` of the draw log."""
+
+    def rewrite(report):
+        (entry,) = report["identities"]
+        edit(entry["counterexample"]["draws"])
+        return report
+
+    return _replay_rewritten(ident, rewrite, tmp_path, capsys)
 
 
 def test_replay_of_an_edited_draw_log_is_a_usage_error(tmp_path, capsys):
@@ -156,6 +165,40 @@ def test_replay_of_a_value_its_ring_cannot_hold_is_a_usage_error(ident, edit, tm
     code, err = _replay_edited(ident, edit, tmp_path, capsys)
     assert code == 3
     assert "replay log mismatch" in err
+
+
+def test_replay_of_a_log_with_records_left_over_is_a_usage_error(tmp_path, capsys):
+    code, err = _replay_edited(
+        "FALSE-COMMUTE", lambda draws: draws.append({"t": "int", "v": 1}), tmp_path, capsys
+    )
+    assert code == 3
+    assert "left unread" in err
+
+
+def _set_cell(field, value):
+    def rewrite(report):
+        report["identities"][0]["counterexample"][field] = value
+        return report
+
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda report: report["identities"],
+        lambda report: {**report, "identities": None},
+        _set_cell("d", "2"),
+        _set_cell("d", [2]),
+        _set_cell("d", True),
+        _set_cell("n", -1),
+    ],
+    ids=["top-level-list", "identities-null", "d-string", "d-list", "d-bool", "n-negative"],
+)
+def test_replay_of_a_malformed_report_is_a_usage_error(rewrite, tmp_path, capsys):
+    code, err = _replay_rewritten("FALSE-COMMUTE", rewrite, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error: ")
 
 
 def test_verify_filters_dims(capsys):

@@ -185,9 +185,62 @@ class TestReplay:
         path, ref = tmp_path / "report.json", tmp_path / "reference.json"
         write_report(report, str(path))
         with open(ref, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
+            json.dump(report, handle, sort_keys=True)
             handle.write("\n")
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_indented_report_of_earlier_versions_still_replays(self, tmp_path):
+        report = run_suite(RunConfig(seed=0xBEEF, samples=5, only=["FALSE-COMMUTE"]))
+        path, indented = tmp_path / "report.json", tmp_path / "indented.json"
+        write_report(report, str(path))
+        assert path.read_text().count("\n") == 1
+        with open(indented, "w") as handle:
+            json.dump(report, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        loaded = load_report(str(indented))
+        assert loaded == load_report(str(path))
+        assert replay_from_report(loaded, "FALSE-COMMUTE")["reproduced"]
+
+    def test_records_left_unread_are_a_replay_mismatch(self):
+        verdict = run_identity(get_identity("FALSE-COMMUTE"), FAST)
+        record = copy.deepcopy(verdict.counterexample)
+        record["draws"].append({"t": "int", "v": 1})
+        with pytest.raises(ValueError, match="1 record\\(s\\) left unread"):
+            replay_counterexample(record)
+
+    def test_records_left_after_a_check_that_passes_are_a_replay_mismatch(self):
+        def check(ctx):
+            x = ctx.draw.scalar(ctx.ring)
+            ctx.compare("equal", x, x)
+
+        desc = IdentityDescriptor(
+            ident="SYNTHETIC-PASS", module="harness", statement="passes", cells=((0, 1),),
+            check=check,
+        )
+        draws = [{"t": "scalar", "ring": {"kind": "rationals"}, "v": "1/2"}]
+        record = {"identity": desc.ident, "n": 0, "d": 1, "draws": draws}
+        assert replay_counterexample(record, desc)["label"] == "no-mismatch-on-replay"
+        with pytest.raises(ValueError, match="left unread"):
+            replay_counterexample({**record, "draws": draws * 2}, desc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("d", "2"), ("d", [2]), ("d", True), ("d", 0), ("d", 2.0), ("n", -1), ("n", "0"), ("n", False)],
+    )
+    def test_cell_of_the_wrong_type_is_a_value_error(self, field, value):
+        record = copy.deepcopy(run_identity(get_identity("FALSE-COMMUTE"), FAST).counterexample)
+        record[field] = value
+        with pytest.raises(ValueError, match="int n >= 0 and d >= 1"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize(
+        "report",
+        [[], {"identities": {"FALSE-COMMUTE": {}}}, {"identities": None}, {}],
+        ids=["list", "identities-object", "identities-null", "no-identities"],
+    )
+    def test_report_of_the_wrong_shape_is_a_value_error(self, report):
+        with pytest.raises(ValueError, match="list of identities"):
+            replay_from_report(report, "FALSE-COMMUTE")
 
     def test_synthetic_injected_mismatch(self):
         # a one-off descriptor whose check always mis-compares: the

@@ -460,10 +460,54 @@ def test_random_sampling_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@given(data=st.data())
+def test_matscalar_deserialize_is_matscalar_of_the_rows(d, data):
+    ints = st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d)
+    rows = data.draw(st.one_of(fraction_rows(d), wide_fraction_rows(d), ints))
+    ring = SquareMatrices(d)
+    for grid in (rows, [[0] * d] * d, [[Fraction(x, 3) for x in r] for r in rows]):
+        want = MatScalar([[Fraction(x) for x in r] for r in grid])
+        got = ring.deserialize([[format_fraction(Fraction(x)) for x in r] for r in grid])
+        assert (got.d, got.num, got.den) == (want.d, want.num, want.den)
+        assert type(got.num) is tuple and all(type(r) is tuple for r in got.num)
+
+
+def test_matscalar_deserialize_reads_strings_fraction_reads(M2):
+    got = M2.deserialize([["-3/9", "4/2"], ["+1", " 0"]])
+    want = MatScalar([[Fraction(-1, 3), 2], [1, 0]])
+    assert (got.num, got.den) == (want.num, want.den) == (((-1, 6), (3, 0)), 3)
+
+
+def _assert_read_as_fraction_reads(text):
+    try:
+        want = Rat(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rings._parse_rational(text)
+        return
+    got = rings._parse_rational(text)
+    assert type(got) is Rat
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@given(num=st.integers(-(2**70), 2**70), den=st.integers(1, 2**70))
+def test_parse_rational_reads_canonical_strings(num, den):
+    _assert_read_as_fraction_reads(format_fraction(Fraction(num, den)))
+
+
+@pytest.mark.parametrize(
+    "text", ["-3/9", "+3", " 2", "-0", "4/2", "1.5", "1e3", "1_0", "\u0663", "0/1", "007"]
+)
+def test_parse_rational_reads_other_strings_as_fraction_does(text):
+    # Fraction reads "1_0" as 10 from Python 3.11 on and refuses it before
+    _assert_read_as_fraction_reads(text)
+
+
 # each ring kind with values it cannot hold: a replayed record carrying one
 # must fail as a record that does not fit (ValueError), not in later arithmetic
 UNHOLDABLE = {
-    "Q": (Rationals(), [["1", "2"], 3, "1/0", "x", None]),
+    "Q": (Rationals(), [["1", "2"], 3, "1/0", "1/-2", "1/+2", "1/ 2", "1 /2", "/", "1/", "", "x", None]),
     "M2(Q)": (
         SquareMatrices(2),
         [
