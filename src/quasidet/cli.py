@@ -37,7 +37,7 @@ from .harness import (
     run_suite,
     write_report,
 )
-from .matrix import matrix_from_expressions
+from .formula import matrix_from_expressions
 from .qdet import qdet
 from .rings import DomainError, format_fraction
 

@@ -10,13 +10,14 @@ on Python ints (Gauss-Jordan, or forward only for the Schur complement);
 the determinant runs its own Bareiss elimination so it stays an
 independent route from that core.
 
-The flattening of a matrix over a rational-embeddable ring reaches this
-module as an int matrix ``num`` with one positive scale per row: the
-rational matrix is ``diag(scales)^-1 num``.  Here ``_integer_rows``
-clears rows of ints or Fractions to that form; ``matrix.flatten_matrix``
-clears Q rows itself, from each ``Rat``'s two int fields, because every
-d = 1 quasideterminant flattens there and ``_integer_rows`` takes 1.5
-times as long (a 4 x 4 Q flatten: 6.0 against 4.0 us, CPython 3.11 on a
+The flattening of a matrix over a rational-embeddable ring
+(``ScalarRing.flatten_rows``) reaches this module as an int matrix
+``num`` with one positive scale per row: the rational matrix is
+``diag(scales)^-1 num``.  Here ``_integer_rows`` clears rows of ints or
+Fractions to that form; ``Rationals.flatten_rows`` clears Q rows itself,
+from each ``Rat``'s two int fields, because every d = 1
+quasideterminant flattens there and ``_integer_rows`` takes 1.5 times as
+long (a 4 x 4 Q flatten: 6.0 against 4.0 us, CPython 3.11 on a
 2-core x86-64 host).  Results come back as ints over one nonzero
 denominator, except the determinant (one Fraction) and
 ``invert_rational``'s Fraction matrix.

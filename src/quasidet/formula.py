@@ -10,6 +10,7 @@ follows the usual partial semantics: a value exists unless some subterm
 The nodes also form a ring, ``FormulaRing``, in which every element has
 an inverse.  ``qdet_formula`` is ``qdet``'s own recursion run over it:
 the recursion that evaluates quasideterminants builds their formulas.
+``matrix_from_expressions`` reads matrix files written in the grammar.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import ClassVar
 from .matrix import NcMatrix
 from .qdet import qdet
-from .rings import DomainError, ScalarRing
+from .rings import DomainError, Rationals, ScalarRing
 
 
 class RatFormula:
@@ -233,6 +234,10 @@ class ParseError(ValueError):
     pass
 
 
+# levels of parentheses, inv and unary minus parsed; each takes <= 3 frames
+MAX_NESTING = 200
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -279,26 +284,28 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self):
-        node = self.term()
+    def expr(self, depth=0):
+        node = self.term(depth)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
+            rhs = self.term(depth)
             node = Add(node, rhs) if op == "+" else Add(node, Neg(rhs))
         return node
 
-    def term(self):
-        node = self.factor()
+    def term(self, depth):
+        node = self.factor(depth)
         while self.peek()[0] == "*":
             self.take()
-            node = Mul(node, self.factor())
+            node = Mul(node, self.factor(depth))
         return node
 
-    def factor(self):
+    def factor(self, depth):
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
         kind, text = self.peek()
         if kind == "-":
             self.take()
-            return Neg(self.factor())
+            return Neg(self.factor(depth + 1))
         if kind == "int":
             self.take()
             return Const(Fraction(int(text)))
@@ -306,13 +313,13 @@ class _Parser:
             self.take()
             if text == "inv":
                 self.take("(")
-                node = self.expr()
+                node = self.expr(depth + 1)
                 self.take(")")
                 return Inv(node)
             return Var(text)
         if kind == "(":
             self.take()
-            node = self.expr()
+            node = self.expr(depth + 1)
             self.take(")")
             return node
         raise ParseError(f"unexpected token {text!r}")
@@ -323,6 +330,44 @@ def parse(text: str) -> RatFormula:
     node = parser.expr()
     parser.take("end")
     return node
+
+
+def matrix_from_expressions(obj: dict) -> NcMatrix:
+    """Build a rational matrix from the JSON file format
+    {"rows": n, "cols": m, "entries": [[expr, ...], ...]} where each
+    entry is an expression string over integers (the grammar with
+    + - *, parentheses and inv) or a plain integer; any other JSON
+    value (a float, a bool, null) raises ValueError, and so does a
+    file that is not an object or whose rows are not lists."""
+    if not isinstance(obj, dict):
+        raise ValueError("a matrix file must hold a JSON object")
+    ring = Rationals()
+    n, m = obj["rows"], obj["cols"]
+    entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix entries must be a list of rows, each a list")
+    if len(entries) != n or any(len(row) != m for row in entries):
+        raise ValueError("entry grid does not match the declared shape")
+    rows = []
+    for row in entries:
+        out = []
+        for cell in row:
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                raise ValueError(
+                    f"matrix entries must be integers or expression strings; got {cell!r}"
+                )
+            if isinstance(cell, int):
+                out.append(Fraction(cell))
+                continue
+            tree = parse(cell)
+            names = free_vars(tree)
+            if names:
+                raise ValueError(
+                    f"matrix entries must be closed expressions; found variables {sorted(names)}"
+                )
+            out.append(evaluate(tree, {}, ring))
+        rows.append(out)
+    return NcMatrix(ring, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,8 @@ def replay_counterexample(
     "rhs"}; reproduced is true when the same comparison fails with
     bit-identical sides.
     """
+    if not isinstance(counterexample, dict):
+        raise ValueError(f"a counterexample is a JSON object, got {counterexample!r}")
     n, d = counterexample["n"], counterexample["d"]
     # a bool is an int to isinstance, so the type is compared exactly
     if type(n) is not int or n < 0 or type(d) is not int or d < 1:

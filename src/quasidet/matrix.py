@@ -11,16 +11,15 @@ each raises ValueError unless they are equal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
-from .exactlin import invert_rational, invert_scaled, solve_rows
+from .exactlin import invert_rational, solve_rows
 from .rings import (
-    DomainError, Rationals, ScalarRing, SeriesElement, TruncatedSeriesRing, _is_grid,
-    ring_from_spec,
+    DomainError, QRationalFunctions, Rationals, ScalarRing, SeriesElement, SquareMatrices,
+    TruncatedSeriesRing, _is_grid,
 )
 
 
@@ -92,20 +91,13 @@ class NcMatrix:
 
     @classmethod
     def identity(cls, ring: ScalarRing, n: int) -> "NcMatrix":
-        return cls(
-            ring,
-            [
-                [ring.one if i == j else ring.zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        one, zero, labels = ring.one, ring.zero, tuple(range(1, n + 1))
+        entries = tuple(tuple(one if i == j else zero for j in labels) for i in labels)
+        return cls._make(ring, entries, labels, labels)
 
     @classmethod
     def zero(cls, ring: ScalarRing, n: int, m: int) -> "NcMatrix":
-        return cls(
-            ring,
-            [[ring.zero for _ in range(m)] for _ in range(n)],
-        )
+        return cls(ring, [[ring.zero] * m for _ in range(n)])
 
     # -- submatrices ---------------------------------------------------------
 
@@ -287,30 +279,20 @@ class NcMatrix:
     # -- inversion and solving ------------------------------------------------
 
     def inverse(self) -> "NcMatrix":
-        """Exact two-sided inverse; DomainError when singular.
-
-        Over a ring with ``flat_dim`` the matrix is flattened to one int
-        matrix and inverted there.  Over truncated series it is ``solve``
-        of the identity.  Any other ring, and series over one, has no
-        matrix inverse: ``flatten_matrix`` raises TypeError.
-        """
+        """Exact two-sided inverse: ``solve`` of the identity, so
+        DomainError when singular and TypeError over a ring with no matrix
+        inverse."""
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
-        ring = self.ring
-        if isinstance(ring, TruncatedSeriesRing):
-            one = NcMatrix.identity(ring, self.n_rows).entries
-            return self.solve(NcMatrix._make(ring, one, self.row_labels, self.row_labels))
-        inv = invert_scaled(*flatten_matrix(ring, self.entries))
-        if inv is None:
-            raise DomainError("matrix is singular over " + ring.name, payload=self)
-        n = self.n_rows
-        return unflatten_matrix(ring, *inv, n, n, self.col_labels, self.row_labels)
+        ring, labels = self.ring, self.row_labels
+        eye = NcMatrix.identity(ring, len(labels)).entries
+        return self.solve(NcMatrix._make(ring, eye, labels, labels))
 
     def solve(self, B: "NcMatrix") -> "NcMatrix":
         """X with ``self * X == B``, for square ``self`` and B with the
         same row labels (else ValueError); X has rows labelled by this
         matrix's columns and columns by B's.  DomainError when singular,
-        TypeError over a ring with no matrix inverse, as for ``inverse``.
+        TypeError over a ring with no matrix inverse: Q(q), series over it.
 
         Over a ring with ``flat_dim`` this is one elimination of the
         flattened rows [M | B].  Over truncated series M = sum M_i t^i it is
@@ -324,11 +306,12 @@ class NcMatrix:
         ring = self.ring
         if isinstance(ring, TruncatedSeriesRing):
             return self._solve_series(B)
-        num, _ = flatten_matrix(ring, [(*a, *b) for a, b in zip(self.entries, B.entries)])
+        num, _ = ring.flatten_rows([(*a, *b) for a, b in zip(self.entries, B.entries)])
         x = solve_rows(num)  # each row's scale cancels from both sides
         if x is None:
             raise DomainError("matrix is singular over " + ring.name, payload=self)
-        return unflatten_matrix(ring, *x, self.n_rows, B.n_cols, self.col_labels, B.col_labels)
+        entries = ring.unflatten_rows(*x, self.n_rows, B.n_cols)
+        return NcMatrix._make(ring, entries, self.col_labels, B.col_labels)
 
     def _solve_series(self, B: "NcMatrix") -> "NcMatrix":
         ring = self.ring
@@ -382,98 +365,6 @@ class NcMatrix:
         )
 
 
-def flatten_matrix(ring, rows):
-    """Expand rows of elements of a rational-embeddable ring into one int
-    matrix with a positive scale per row, ``(num, scales)``: the rational
-    matrix is ``diag(scales)^-1 num`` (block structure forgotten).  The
-    k rows flattened from one row of elements share its scale.  Q rows
-    are cleared here from each ``Rat``'s int fields, not by
-    ``exactlin._integer_rows``: every d = 1 quasideterminant comes this
-    way, and that generic route takes 1.5 times as long."""
-    k = ring.flat_dim
-    if k is None:
-        raise TypeError(f"{ring.name} has no rational embedding")
-    num, scales = [], []
-    if isinstance(ring, Rationals):
-        # k = 1: each Rat is its own numerator over its denominator
-        for row in rows:
-            scale = lcm(*[x._denominator for x in row])
-            num.append([x._numerator * (scale // x._denominator) for x in row])
-            scales.append(scale)
-        return num, scales
-    for row in rows:
-        blocks = [ring.flatten(x) for x in row]
-        scale = lcm(*(den for _, den in blocks))
-        factors = [(block, scale // den) for block, den in blocks]
-        for r in range(k):
-            num.append([v * f for block, f in factors for v in block[r]])
-        scales += [scale] * k
-    return num, scales
-
-
-def unflatten_matrix(
-    ring, num, den, n_rows: int, n_cols: int, row_labels=None, col_labels=None
-) -> NcMatrix:
-    """The matrix over ``ring`` whose flattening is ``num / den`` (one
-    nonzero int denominator), for a given target shape."""
-    k = ring.flat_dim
-    rows = tuple(
-        tuple(
-            ring.unflatten(
-                ([row[j * k : j * k + k] for row in num[i * k : i * k + k]], den)
-            )
-            for j in range(n_cols)
-        )
-        for i in range(n_rows)
-    )
-    return NcMatrix._make(
-        ring,
-        rows,
-        tuple(row_labels) if row_labels is not None else tuple(range(1, n_rows + 1)),
-        tuple(col_labels) if col_labels is not None else tuple(range(1, n_cols + 1)),
-    )
-
-
-def matrix_from_expressions(obj: dict) -> NcMatrix:
-    """Build a rational matrix from the JSON file format
-    {"rows": n, "cols": m, "entries": [[expr, ...], ...]} where each
-    entry is an expression string over integers (the grammar with
-    + - *, parentheses and inv) or a plain integer; any other JSON
-    value (a float, a bool, null) raises ValueError, and so does a
-    file that is not an object or whose rows are not lists."""
-    from .formula import evaluate, free_vars, parse  # formula imports this module
-
-    if not isinstance(obj, dict):
-        raise ValueError("a matrix file must hold a JSON object")
-    ring = Rationals()
-    n, m = obj["rows"], obj["cols"]
-    entries = obj["entries"]
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise ValueError("matrix entries must be a list of rows, each a list")
-    if len(entries) != n or any(len(row) != m for row in entries):
-        raise ValueError("entry grid does not match the declared shape")
-    rows = []
-    for row in entries:
-        out = []
-        for cell in row:
-            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
-                raise ValueError(
-                    f"matrix entries must be integers or expression strings; got {cell!r}"
-                )
-            if isinstance(cell, int):
-                out.append(Fraction(cell))
-                continue
-            tree = parse(cell)
-            names = free_vars(tree)
-            if names:
-                raise ValueError(
-                    f"matrix entries must be closed expressions; found variables {sorted(names)}"
-                )
-            out.append(evaluate(tree, {}, ring))
-        rows.append(out)
-    return NcMatrix(ring, rows)
-
-
 class MatrixRing(ScalarRing):
     """Ring of n x n matrices over a base ring, used as a single scalar.
 
@@ -501,13 +392,8 @@ class MatrixRing(ScalarRing):
 
     def lift(self, x):
         """Embed a base scalar as x times the identity matrix."""
-        return NcMatrix(
-            self.base,
-            [
-                [x if i == j else self.base.zero for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
+        zero, n = self.base.zero, self.n
+        return NcMatrix(self.base, [[x if i == j else zero for j in range(n)] for i in range(n)])
 
     def is_zero(self, a: NcMatrix) -> bool:
         return a.is_zero_matrix()
@@ -551,9 +437,29 @@ class MatrixRing(ScalarRing):
         return {"kind": "matrix-ring", "base": self.base.spec(), "n": self.n}
 
     def flatten(self, a: NcMatrix):
-        num, scales = flatten_matrix(self.base, a.entries)
+        num, scales = self.base.flatten_rows(a.entries)
         den = lcm(*scales)
         return [[v * (den // s) for v in row] for row, s in zip(num, scales)], den
 
     def unflatten(self, block):
-        return unflatten_matrix(self.base, *block, self.n, self.n)
+        labels = tuple(range(1, self.n + 1))
+        entries = self.base.unflatten_rows(*block, self.n, self.n)
+        return NcMatrix._make(self.base, entries, labels, labels)
+
+
+def ring_from_spec(spec: dict) -> ScalarRing:
+    """Rebuild a ring from its JSON description (see ``ScalarRing.spec``)."""
+    kind = spec["kind"]
+    if kind == "rationals":
+        return Rationals()
+    if kind == "matrices":
+        return SquareMatrices(spec["d"])
+    if kind == "series":
+        return TruncatedSeriesRing(
+            ring_from_spec(spec["base"]), spec["order"], spec.get("variable", "t")
+        )
+    if kind == "qrationals":
+        return QRationalFunctions()
+    if kind == "matrix-ring":
+        return MatrixRing(ring_from_spec(spec["base"]), spec["n"])
+    raise ValueError(f"unknown ring kind: {kind}")

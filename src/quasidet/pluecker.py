@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import right_kernel
-from .matrix import NcMatrix, flatten_matrix, unflatten_matrix
+from .matrix import NcMatrix
 from .qdet import qdet, trailing_chain
 from .rings import DomainError
 
@@ -188,18 +188,18 @@ def kernel_complement(A: NcMatrix) -> Optional[NcMatrix]:
     rational expansion of A.
 
     Returns None when the kernel dimension is not the generic
-    (n - k) * flat_dim, which signals a degenerate sample to discard.
+    (n - k) * flat_dim, which signals a degenerate sample to discard;
+    ValueError unless A is wide (k < n), TypeError over a ring with no
+    rational embedding.
     """
     ring = A.ring
-    dd = ring.flat_dim
-    if dd is None:
-        raise TypeError("kernel construction needs a rational-embeddable ring")
     k, n = A.n_rows, A.n_cols
+    if k >= n:
+        raise ValueError("kernel construction needs a wide matrix (k < n)")
     # the row scales do not move the kernel
-    basis, den = right_kernel(flatten_matrix(ring, A.entries)[0])
-    if len(basis) != (n - k) * dd:
+    basis, den = right_kernel(ring.flatten_rows(A.entries)[0])
+    if len(basis) != (n - k) * ring.flat_dim:
         return None
     # the basis vectors are the columns of the flattened B
-    return unflatten_matrix(
-        ring, list(zip(*basis)), den, n, n - k, range(1, n + 1), range(1, n - k + 1)
-    )
+    entries = ring.unflatten_rows(list(zip(*basis)), den, n, n - k)
+    return NcMatrix._make(ring, entries, tuple(range(1, n + 1)), tuple(range(1, n - k + 1)))

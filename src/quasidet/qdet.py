@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exactlin import schur_complement
-from .matrix import MatrixRing, NcMatrix, flatten_matrix
+from .matrix import MatrixRing, NcMatrix
 from .rings import DomainError
 
 
@@ -60,7 +60,7 @@ def _qdet_minor_inverse(A: NcMatrix, p, q):
     if ring.flat_dim is not None:
         # pivot row and column last: |A|_pq is the trailing Schur complement
         rows = [(*r[:j], *r[j + 1 :], r[j]) for r in (*e[:i], *e[i + 1 :], e[i])]
-        schur = schur_complement(*flatten_matrix(ring, rows), ring.flat_dim)
+        schur = schur_complement(*ring.flatten_rows(rows), ring.flat_dim)
         if schur is None:
             raise DomainError(
                 "matrix is singular over " + ring.name, payload=A.delete_row_col(p, q)
@@ -169,12 +169,7 @@ def matrix_inverse(A: NcMatrix) -> NcMatrix:
 def hadamard_inverse(A: NcMatrix) -> NcMatrix:
     """Entrywise transposed inverse: entry (j, i) is a_{ij}^{-1}."""
     ring = A.ring
-    rows = []
-    for j in A.col_labels:
-        row = []
-        for i in A.row_labels:
-            row.append(ring.invert(A.entry(i, j)))
-        rows.append(row)
+    rows = [[ring.invert(A.entry(i, j)) for i in A.row_labels] for j in A.col_labels]
     return NcMatrix(ring, rows, A.col_labels, A.row_labels)
 
 
@@ -390,16 +385,9 @@ def cayley_hamilton(A: NcMatrix) -> list:
     R = MatrixRing(S, n)
     t = NcMatrix(S, A.entries)  # the matrix itself, canonical labels
     lifted = [[R.lift(x) for x in row] for row in A.entries]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(t - lifted[i][j])
-            else:
-                row.append(-lifted[i][j])
-        entries.append(row)
-    T = NcMatrix(R, entries)
+    T = NcMatrix(
+        R, [[t - x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(lifted)]
+    )
     return [
         [qdet(T, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
     ]

@@ -254,6 +254,39 @@ class ScalarRing:
         """The element whose embedding is ``num / den``."""
         raise NotImplementedError
 
+    def _embedding_dim(self) -> int:
+        if self.flat_dim is None:
+            raise TypeError(f"{self.name} has no rational embedding")
+        return self.flat_dim
+
+    def flatten_rows(self, rows) -> tuple[list, list]:
+        """Rows of elements as one int matrix with a positive scale per
+        row, ``(num, scales)``: the rational matrix is
+        ``diag(scales)^-1 num`` (block structure forgotten).  The k rows
+        flattened from one row of elements share its scale."""
+        k = self._embedding_dim()
+        num, scales = [], []
+        for row in rows:
+            blocks = [self.flatten(x) for x in row]
+            scale = lcm(*(den for _, den in blocks))
+            factors = [(block, scale // den) for block, den in blocks]
+            for r in range(k):
+                num.append([v * f for block, f in factors for v in block[r]])
+            scales += [scale] * k
+        return num, scales
+
+    def unflatten_rows(self, num, den, n_rows: int, n_cols: int) -> tuple:
+        """The ``n_rows`` x ``n_cols`` entry tuples whose flattening is
+        ``num / den`` (one nonzero int denominator)."""
+        k = self._embedding_dim()
+        return tuple(
+            tuple(
+                self.unflatten(([row[j * k : j * k + k] for row in num[i * k : i * k + k]], den))
+                for j in range(n_cols)
+            )
+            for i in range(n_rows)
+        )
+
     def __repr__(self):
         return self.name
 
@@ -323,8 +356,18 @@ class Rationals(ScalarRing):
     def spec(self):
         return {"kind": "rationals"}
 
-    def flatten(self, a):
-        return ((a.numerator,),), a.denominator
+    def flatten_rows(self, rows):
+        # each Rat is its own numerator over its denominator (see exactlin)
+        num, scales = [], []
+        for row in rows:
+            scale = lcm(*[x._denominator for x in row])
+            num.append([x._numerator * (scale // x._denominator) for x in row])
+            scales.append(scale)
+        return num, scales
+
+    def unflatten_rows(self, num, den, n_rows, n_cols):
+        # k = 1: num already has the target shape, one int per entry
+        return tuple(tuple(_ratio(x, den) for x in row) for row in num)
 
     def unflatten(self, block):
         num, den = block
@@ -1039,22 +1082,3 @@ class QRationalFunctions(ScalarRing):
     def spec(self):
         return {"kind": "qrationals"}
 
-
-def ring_from_spec(spec: dict) -> ScalarRing:
-    """Rebuild a ring from its JSON description (see ``ScalarRing.spec``)."""
-    kind = spec["kind"]
-    if kind == "rationals":
-        return Rationals()
-    if kind == "matrices":
-        return SquareMatrices(spec["d"])
-    if kind == "series":
-        return TruncatedSeriesRing(
-            ring_from_spec(spec["base"]), spec["order"], spec.get("variable", "t")
-        )
-    if kind == "qrationals":
-        return QRationalFunctions()
-    if kind == "matrix-ring":
-        from .matrix import MatrixRing
-
-        return MatrixRing(ring_from_spec(spec["base"]), spec["n"])
-    raise ValueError(f"unknown ring kind: {kind}")

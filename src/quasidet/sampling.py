@@ -151,6 +151,8 @@ class ReplayDraw(Draw):
     raises one for records left over once the check is done."""
 
     def __init__(self, log: list):
+        if not isinstance(log, list):
+            raise ValueError(f"a draw log is a list of records, got {log!r}")
         super().__init__(random.Random(0))
         self.stored = list(log)
         self.pos = 0
@@ -162,6 +164,8 @@ class ReplayDraw(Draw):
         if self.pos >= len(self.stored):
             raise ValueError("replay log exhausted")
         rec = self.stored[self.pos]
+        if not isinstance(rec, dict) or not isinstance(rec.get("t"), str):
+            raise ValueError(f"replay log mismatch: record {self.pos} is not an object with a string t")
         if rec["t"] != kind:
             raise ValueError(f"replay log mismatch: wanted {kind}, log has {rec['t']}")
         if not fits(rec):
@@ -214,8 +218,8 @@ class ReplayDraw(Draw):
         fields = ("ring", "row_labels", "col_labels")
 
         def fits(rec):
-            v = rec["v"]
-            return [v[k] for k in fields] == want and _is_grid(v["entries"], n_rows, n_cols)
+            v = rec["v"] if isinstance(rec["v"], dict) else {}
+            return [v.get(k) for k in fields] == want and _is_grid(v.get("entries"), n_rows, n_cols)
 
         def read(v):
             entries = [[ring.deserialize(x) for x in row] for row in v["entries"]]
@@ -227,22 +231,28 @@ class ReplayDraw(Draw):
         want = [ring.spec(), list(names)]
         return self._next(
             "assignment",
-            lambda rec: [rec["ring"], rec["order"]] == want,
+            lambda rec: [rec["ring"], rec["order"]] == want and isinstance(rec["v"], dict),
             lambda v: {k: ring.deserialize(v[k]) for k in names},
         )
 
     def int_range(self, lo, hi):
-        return self._next("int", lambda rec: lo <= rec["v"] <= hi)
+        return self._next("int", lambda rec: type(rec["v"]) is int and lo <= rec["v"] <= hi)
 
     def choice(self, options):
-        return options[self._next("int", lambda rec: 0 <= rec["v"] < len(options))]
+        return options[self.int_range(0, len(options) - 1)]
 
     def subset(self, pool, size):
         def fits(rec):
             v = rec["v"]
-            return len(v) == size and v == sorted(set(v)) and set(v) <= set(pool)
+            return _int_list(v) and len(v) == size and v == sorted(set(v)) and set(v) <= set(pool)
 
         return tuple(self._next("ints", fits))
 
     def permutation(self, n):
-        return tuple(self._next("ints", lambda rec: sorted(rec["v"]) == list(range(1, n + 1))))
+        perm = list(range(1, n + 1))
+        return tuple(self._next("ints", lambda rec: _int_list(rec["v"]) and sorted(rec["v"]) == perm))
+
+
+def _int_list(v) -> bool:
+    # a bool is an int to isinstance, so int draws compare types exactly
+    return type(v) is list and all(type(x) is int for x in v)

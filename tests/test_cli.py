@@ -183,6 +183,20 @@ def _set_cell(field, value):
     return rewrite
 
 
+def _set_first_record(value):
+    def rewrite(report):
+        report["identities"][0]["counterexample"]["draws"][0] = value
+        return report
+
+    return rewrite
+
+
+def _counterexample_as_list(report):
+    entry = report["identities"][0]
+    entry["counterexample"] = [entry["counterexample"]]
+    return report
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [
@@ -192,8 +206,15 @@ def _set_cell(field, value):
         _set_cell("d", [2]),
         _set_cell("d", True),
         _set_cell("n", -1),
+        _set_cell("draws", None),
+        _set_first_record(7),
+        _set_first_record(["scalar"]),
+        _counterexample_as_list,
     ],
-    ids=["top-level-list", "identities-null", "d-string", "d-list", "d-bool", "n-negative"],
+    ids=[
+        "top-level-list", "identities-null", "d-string", "d-list", "d-bool", "n-negative",
+        "draws-null", "first-record-int", "first-record-list", "counterexample-list",
+    ],
 )
 def test_replay_of_a_malformed_report_is_a_usage_error(rewrite, tmp_path, capsys):
     code, err = _replay_rewritten("FALSE-COMMUTE", rewrite, tmp_path, capsys)
@@ -394,6 +415,30 @@ def test_misshapen_matrix_files_are_usage_errors(content, message, tmp_path, cap
     assert main(["qdet", "--matrix", str(path), "--p", "1", "--q", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+NESTED_ENTRIES = {
+    "parentheses": "(" * 2000 + "1" + ")" * 2000,
+    "unary-minus": "-" * 5000 + "1",
+    "inv": "inv(" * 1000 + "1" + ")" * 1000,
+}
+
+
+@pytest.mark.parametrize("entry", NESTED_ENTRIES.values(), ids=NESTED_ENTRIES.keys())
+def test_deeply_nested_entries_are_usage_errors(entry, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    assert main(["qdet", "--matrix", str(path), "--p", "1", "--q", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper than 200" in err
+
+
+def test_entry_nested_200_deep_evaluates(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    entry = "(" * 200 + "1" + ")" * 200
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+    assert main(["qdet", "--matrix", str(path), "--p", "1", "--q", "1"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_bad_subcommand_exit_code():

@@ -202,6 +202,25 @@ class TestParser:
         f = parse("1 + 2 * 3")
         assert evaluate(f, {}, Rationals()) == 7
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 2000 + "1" + ")" * 2000, "-" * 5000 + "1", "inv(" * 1000 + "1" + ")" * 1000],
+        ids=["parentheses", "unary-minus", "inv"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "opening,closing", [("(", ")"), ("-", ""), ("inv(", ")")]
+    )
+    def test_nesting_up_to_the_limit_parses(self, opening, closing):
+        # 200 levels parse and evaluate (to 1: an even count of minus
+        # signs, and 1 is its own inverse); one more is refused
+        assert evaluate(parse(opening * 200 + "1" + closing * 200), {}, Rationals()) == 1
+        with pytest.raises(ParseError):
+            parse(opening * 201 + "1" + closing * 201)
+
 
 @st.composite
 def formulas(draw, depth=3):

@@ -1,12 +1,14 @@
 import copy
 import importlib
 import json
+import random
 
 import pytest
 
 import quasidet.catalog as catalog_module
 from quasidet.catalog import (
     CATALOG,
+    CheckContext,
     IdentityDescriptor,
     catalog,
     get_identity,
@@ -23,8 +25,9 @@ from quasidet.harness import (
     run_suite,
     write_report,
 )
-from quasidet.matrix import MatrixRing, NcMatrix
-from quasidet.rings import SquareMatrices, ring_from_spec
+from quasidet.matrix import MatrixRing, NcMatrix, ring_from_spec
+from quasidet.rings import SquareMatrices
+from quasidet.sampling import Draw
 
 FAST = RunConfig(seed=0xC0FFEE, samples=3)
 
@@ -162,6 +165,14 @@ class TestControls:
         assert not report["identities"][0]["met_expectation"]
 
 
+def _live_record(ident, n, d, seed=1):
+    """A counterexample-shaped record of one live run of ``ident``'s check
+    at the cell (n, d); its replay finds no mismatch."""
+    draw = Draw(random.Random(seed))
+    get_identity(ident).check(CheckContext(draw=draw, ring=ring_for_dimension(d), n=n, d=d))
+    return {"identity": ident, "n": n, "d": d, "draws": draw.log}
+
+
 class TestReplay:
     def test_control_replays_bit_exactly(self):
         verdict = run_identity(get_identity("FALSE-QDET-ENTRY"), FAST)
@@ -241,6 +252,59 @@ class TestReplay:
     def test_report_of_the_wrong_shape_is_a_value_error(self, report):
         with pytest.raises(ValueError, match="list of identities"):
             replay_from_report(report, "FALSE-COMMUTE")
+
+    @pytest.mark.parametrize("record", [[], None, "FALSE-COMMUTE"], ids=["list", "null", "string"])
+    def test_counterexample_that_is_not_an_object_is_a_value_error(self, record):
+        with pytest.raises(ValueError, match="JSON object"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize(
+        "draws", [None, {"t": "int", "v": 0}, "draws", 7], ids=["null", "object", "string", "int"]
+    )
+    def test_draw_log_that_is_not_a_list_is_a_value_error(self, draws):
+        record = copy.deepcopy(run_identity(get_identity("FALSE-COMMUTE"), FAST).counterexample)
+        record["draws"] = draws
+        with pytest.raises(ValueError, match="list of records"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize(
+        "first", [7, ["scalar"], {"v": "1"}, "scalar"], ids=["int", "list", "no-t", "string"]
+    )
+    def test_record_that_is_not_an_object_with_a_string_t_is_a_replay_mismatch(self, first):
+        record = copy.deepcopy(run_identity(get_identity("FALSE-COMMUTE"), FAST).counterexample)
+        record["draws"][0] = first
+        with pytest.raises(ValueError, match="record 0 is not an object with a string t"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize(
+        "value", [0.5, 1.0, "1", True], ids=["half", "float-one", "string", "true"]
+    )
+    def test_int_record_of_another_type_is_a_replay_mismatch(self, value):
+        record = _live_record("QDET-DEF-AGREE", 2, 1)
+        assert replay_counterexample(record)["label"] == "no-mismatch-on-replay"
+        pos, first_int = next((i, r) for i, r in enumerate(record["draws"]) if r["t"] == "int")
+        first_int["v"] = value
+        with pytest.raises(ValueError, match=f"int record {pos} does not fit"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize(
+        "value", [[1, 2.0], [True, 2], 12, None], ids=["float", "true", "int", "null"]
+    )
+    def test_ints_record_with_a_non_int_is_a_replay_mismatch(self, value):
+        record = _live_record("HOMOLOGICAL-ROW", 3, 1)
+        assert replay_counterexample(record)["label"] == "no-mismatch-on-replay"
+        pos, ints = next((i, r) for i, r in enumerate(record["draws"]) if r["t"] == "ints")
+        ints["v"] = value
+        with pytest.raises(ValueError, match=f"ints record {pos} does not fit"):
+            replay_counterexample(record)
+
+    @pytest.mark.parametrize("value", [7, ["1", "2"], None], ids=["int", "list", "null"])
+    def test_matrix_record_that_is_not_an_object_is_a_replay_mismatch(self, value):
+        record = _live_record("QDET-DEF-AGREE", 2, 1)
+        assert record["draws"][0]["t"] == "matrix"
+        record["draws"][0]["v"] = value
+        with pytest.raises(ValueError, match="matrix record 0 does not fit"):
+            replay_counterexample(record)
 
     def test_synthetic_injected_mismatch(self):
         # a one-off descriptor whose check always mis-compares: the

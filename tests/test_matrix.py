@@ -1,18 +1,18 @@
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from quasidet.matrix import (
-    MatrixRing,
-    NcMatrix,
-    matrix_from_expressions,
-)
+from quasidet.formula import FormulaRing, Var, matrix_from_expressions
+from quasidet.matrix import MatrixRing, NcMatrix
 from quasidet.qdet import qdet
 from quasidet.rings import (
     DomainError,
     QRationalFunctions,
     Rat,
     Rationals,
+    SampleProfile,
     SquareMatrices,
     TruncatedSeriesRing,
     format_fraction,
@@ -402,3 +402,75 @@ class TestMatrixRing:
         assert verdict.status == "error"
         error = verdict.counterexample["error"]
         assert error["type"] == "ValueError" and "(2, 1)" in error["message"]
+
+
+_FLAT_RINGS = [
+    Rationals(),
+    SquareMatrices(2),
+    SquareMatrices(3),
+    MatrixRing(Rationals(), 2),
+    MatrixRing(SquareMatrices(2), 2),
+]
+
+
+class TestFlatForm:
+    """Each flat ring turns rows of its elements into one int matrix with
+    a scale per row, and reads an int matrix over one denominator back."""
+
+    @pytest.mark.parametrize("ring", _FLAT_RINGS, ids=lambda ring: ring.name)
+    def test_unflatten_rows_inverts_flatten_rows(self, ring, rng):
+        fractional, integral = SampleProfile(5, 7), SampleProfile(5, 1)
+        rows = [
+            [ring.random_element(rng, fractional) for _ in range(3)],
+            [ring.random_element(rng, integral) for _ in range(3)],
+            [ring.zero, ring.random_element(rng, fractional), ring.zero],
+            [ring.zero] * 3,
+        ]
+        num, scales = ring.flatten_rows(rows)
+        k = ring.flat_dim
+        assert len(num) == len(scales) == 4 * k and all(len(row) == 3 * k for row in num)
+        # the k int rows of one row of elements share its scale
+        assert all(len(set(scales[i : i + k])) == 1 for i in range(0, 4 * k, k))
+        assert scales[0] > 1 and scales[-k:] == [1] * k
+        den = lcm(*scales)
+        common = [[v * (den // s) for v in row] for row, s in zip(num, scales)]
+        assert ring.unflatten_rows(common, den, 4, 3) == tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize(
+        "ring,element",
+        [
+            (TruncatedSeriesRing(Rationals(), 2), lambda ring: ring.one),
+            (QRationalFunctions(), lambda ring: ring.one),
+            (FormulaRing(), lambda ring: Var("a")),
+        ],
+        ids=["series", "Q(q)", "formulas"],
+    )
+    def test_a_ring_with_no_rational_embedding_has_no_flat_form(self, ring, element):
+        with pytest.raises(TypeError, match=re.escape(f"{ring.name} has no rational embedding")):
+            ring.flatten_rows([[element(ring)]])
+        with pytest.raises(TypeError, match=re.escape(f"{ring.name} has no rational embedding")):
+            ring.unflatten_rows([[1]], 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [Rationals(), SquareMatrices(2), TruncatedSeriesRing(SquareMatrices(2), 2)],
+        ids=lambda ring: ring.name,
+    )
+    def test_inverse_is_solve_of_the_identity(self, ring, rng):
+        for _ in range(3):
+            A = NcMatrix(ring, sample_matrix(ring, 3, 3, rng).entries, [3, 1, 2], [2, 3, 1])
+            eye = NcMatrix(ring, NcMatrix.identity(ring, 3).entries, [3, 1, 2], [3, 1, 2])
+            inv = A.inverse()
+            assert inv == A.solve(eye)
+            assert (inv.row_labels, inv.col_labels) == ((2, 3, 1), (3, 1, 2))
+
+    @pytest.mark.parametrize(
+        "ring",
+        [Rationals(), SquareMatrices(2), TruncatedSeriesRing(SquareMatrices(2), 2)],
+        ids=lambda ring: ring.name,
+    )
+    def test_singular_inverse_names_the_ring(self, ring):
+        A = NcMatrix(ring, [[1, 2], [2, 4]])
+        with pytest.raises(DomainError, match=f"^{re.escape('matrix is singular over ' + ring.name)}$") as err:
+            A.inverse()
+        assert err.value.payload is A

@@ -205,6 +205,12 @@ class TestDuality:
             assert p + r == M2.zero
             hits += 1
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2)], ids=["square", "tall"])
+    def test_kernel_of_a_matrix_that_is_not_wide_is_a_value_error(self, shape, rng, M2):
+        # a square or tall matrix has no generic kernel to build B from
+        with pytest.raises(ValueError, match="wide matrix"):
+            kernel_complement(sample_matrix(M2, *shape, rng))
+
     def test_commutative_sign_ratio(self, rng, Q):
         hits = 0
         while hits < 4:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quasidet import rings
 from quasidet.catalog import get_identity
 from quasidet.harness import COUNTEREXAMPLE, VERIFIED, RunConfig, run_identity
+from quasidet.matrix import ring_from_spec
 from quasidet.rings import (
     DomainError,
     MatScalar,
@@ -24,7 +25,6 @@ from quasidet.rings import (
     format_fraction,
     poly_gcd,
     poly_mul,
-    ring_from_spec,
 )
 
 fractions_st = st.fractions(
