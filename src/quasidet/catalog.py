@@ -108,10 +108,6 @@ def identity(**fields):
     return register
 
 
-def catalog() -> list[IdentityDescriptor]:
-    return list(CATALOG)
-
-
 def get_identity(ident: str) -> IdentityDescriptor:
     for desc in CATALOG:
         if desc.ident == ident:
@@ -432,14 +428,10 @@ def check_homological_col(ctx: CheckContext):
 def check_heredity_schur(ctx: CheckContext):
     A = _square(ctx)
     k = ctx.draw.int_range(1, ctx.n - 1)
-    sizes = [k, ctx.n - k]
-    i = ctx.draw.choice(list(A.row_labels[:k]))
-    j = ctx.draw.choice(list(A.col_labels[:k]))
-    ctx.compare(
-        "two-step-vs-direct",
-        heredity_qdet(A, sizes, sizes, (1, 1), (i, j)),
-        qdet(A, i, j),
-    )
+    rows, cols = A.row_labels[:k], A.col_labels[:k]
+    i = ctx.draw.choice(list(rows))
+    j = ctx.draw.choice(list(cols))
+    ctx.compare("two-step-vs-direct", heredity_qdet(A, rows, cols, i, j), qdet(A, i, j))
 
 
 @identity(
@@ -453,22 +445,18 @@ def check_heredity_schur(ctx: CheckContext):
 def check_heredity_general(ctx: CheckContext):
     A = _square(ctx, 4)
     if ctx.draw.int_range(0, 1):
-        sizes = [2, 2]
+        cut = 2  # blocks 2 + 2
         bp = ctx.draw.int_range(1, 2)
         bq = ctx.draw.int_range(1, 2)
     else:
-        sizes = [1, 3]
+        cut = 1  # blocks 1 + 3
         bp = bq = ctx.draw.int_range(1, 2)  # pivot block must be square
-    row_group = A.row_labels[: sizes[0]] if bp == 1 else A.row_labels[sizes[0] :]
-    col_group = A.col_labels[: sizes[0]] if bq == 1 else A.col_labels[sizes[0] :]
+    row_group = A.row_labels[:cut] if bp == 1 else A.row_labels[cut:]
+    col_group = A.col_labels[:cut] if bq == 1 else A.col_labels[cut:]
     i = ctx.draw.choice(list(row_group))
     j = ctx.draw.choice(list(col_group))
-    ctx.compare(
-        "block-heredity",
-        heredity_qdet(A, sizes, sizes, (bp, bq), (i, j)),
-        qdet(A, i, j),
-    )
-    if sizes == [2, 2]:
+    ctx.compare("block-heredity", heredity_qdet(A, row_group, col_group, i, j), qdet(A, i, j))
+    if cut == 2:
         ctx.compare(
             "block-ring-route",
             heredity_via_block_ring(A, 2, (bp, bq), (i, j)),
@@ -1577,11 +1565,12 @@ def check_s_routes(ctx: CheckContext):
 def check_ribbon_basis(ctx: CheckContext):
     ring = ctx.ring
     m = ctx.n  # degree doubles as the cell size
-    comps = list(sf.compositions(m))
     points = []
     for _ in range(max(3, (2 ** (m - 1) + ring.flat_dim ** 2 - 1) // (ring.flat_dim ** 2) + 1)):
         _, (ys,) = _independent_values(ctx, m)
         points.append(ys)
+    # after the draws: a replayed record that claims a large m fails them first
+    comps = list(sf.compositions(m))
     vectors = []
     for J in comps:
         vec = []

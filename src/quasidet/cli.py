@@ -44,7 +44,11 @@ from .rings import DomainError, format_fraction
 
 def _load_matrix(path: str):
     with open(path) as handle:
-        return matrix_from_expressions(json.load(handle))
+        try:
+            spec = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    return matrix_from_expressions(spec)
 
 
 def _cmd_verify(args) -> int:

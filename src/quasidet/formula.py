@@ -107,14 +107,6 @@ class Inv(RatFormula):
         object.__setattr__(self, "height", self.child.height + 1)
 
 
-def inv(f: RatFormula) -> RatFormula:
-    return Inv(_coerce(f))
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def _coerce(x) -> RatFormula:
     if isinstance(x, RatFormula):
         return x

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
@@ -63,14 +63,7 @@ class IdentityVerdict:
     cells: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "seed": self.seed,
-            "counterexample": self.counterexample,
-            "cells": self.cells,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -275,7 +268,10 @@ def write_report(report: dict, path: str) -> None:
 
 def load_report(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def replay_counterexample(

@@ -114,12 +114,12 @@ def trailing_chain(A: NcMatrix) -> list:
     return corners + [A.entry(last, last)]
 
 
-def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
+def qdet_expansion(A: NcMatrix, p, q, mode: str, index):
     """Quasideterminant by expansion along another row or column.
 
-    mode "row" with expansion row k != p:
+    mode "row" with expansion row k = ``index`` != p:
         a_pq - sum_{j != q} a_pj (|A^{pq}|_{kj})^{-1} |A^{pj}|_{kq}
-    mode "col" with expansion column l != q:
+    mode "col" with expansion column l = ``index`` != q:
         a_pq - sum_{i != p} |A^{iq}|_{pl} (|A^{pq}|_{il})^{-1} a_iq
     Both modes take any row and column labels.
     """
@@ -129,27 +129,25 @@ def qdet_expansion(A: NcMatrix, p, q, mode: str = "row", index=None):
     if A.n_rows == 1:
         return A.entry(p, q)
     if mode == "row":
-        k = index if index is not None else min(r for r in A.row_labels if r != p)
-        if k == p:
+        if index == p:
             raise ValueError("expansion row must differ from the pivot row")
         acc = A.entry(p, q)
         for j in A.col_labels:
             if j == q:
                 continue
-            first = qdet(A.delete_row_col(p, q), k, j)
-            second = qdet(A.delete_row_col(p, j), k, q)
+            first = qdet(A.delete_row_col(p, q), index, j)
+            second = qdet(A.delete_row_col(p, j), index, q)
             acc = acc - A.entry(p, j) * ring.invert(first) * second
         return acc
     if mode == "col":
-        l = index if index is not None else min(c for c in A.col_labels if c != q)
-        if l == q:
+        if index == q:
             raise ValueError("expansion column must differ from the pivot column")
         acc = A.entry(p, q)
         for i in A.row_labels:
             if i == p:
                 continue
-            first = qdet(A.delete_row_col(i, q), p, l)
-            second = qdet(A.delete_row_col(p, q), i, l)
+            first = qdet(A.delete_row_col(i, q), p, index)
+            second = qdet(A.delete_row_col(p, q), i, index)
             acc = acc - first * ring.invert(second) * A.entry(i, q)
         return acc
     raise ValueError(f"unknown mode {mode!r}")
@@ -173,26 +171,13 @@ def hadamard_inverse(A: NcMatrix) -> NcMatrix:
     return NcMatrix(ring, rows, A.col_labels, A.row_labels)
 
 
-def heredity_qdet(
-    A: NcMatrix,
-    row_sizes: Sequence[int],
-    col_sizes: Sequence[int],
-    block_pivot: tuple,
-    inner_pivot: tuple,
-):
-    """Quasideterminant in two steps through a block partition.
-
-    First the block-level quasideterminant at block position
-    ``block_pivot`` (a matrix), then the ordinary quasideterminant of
-    that block at ``inner_pivot`` (labels of A).  Equals
-    qdet(A, *inner_pivot) whenever defined; the pivot block must be
-    square.
-    """
-    _, row_groups, col_groups = A.block_partition(row_sizes, col_sizes)
-    rows, cols = row_groups[block_pivot[0] - 1], col_groups[block_pivot[1] - 1]
+def heredity_qdet(A: NcMatrix, rows: Sequence, cols: Sequence, p, q):
+    """Quasideterminant by heredity: the one at (p, q) of the block-level
+    quasideterminant at the square pivot block on row labels ``rows`` and
+    column labels ``cols``.  Equals qdet(A, p, q) whenever defined."""
     if len(rows) != len(cols):
         raise ValueError("pivot block must be square")
-    return qdet(block_qdet(A, rows, cols), inner_pivot[0], inner_pivot[1])
+    return qdet(block_qdet(A, rows, cols), p, q)
 
 
 def block_qdet(A: NcMatrix, rows: Sequence, cols: Sequence) -> NcMatrix:

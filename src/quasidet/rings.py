@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -571,16 +572,15 @@ class SquareMatrices(ScalarRing):
         self.d = d
         self.name = f"M{d}(Q)"
         self.flat_dim = d
-        self._zero = self.from_int(0)
-        self._one = self.from_int(1)
 
-    @property
+    # built on first use: a ring named by a replayed record may never need them
+    @cached_property
     def zero(self):
-        return self._zero
+        return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self):
-        return self._one
+        return self.from_int(1)
 
     def is_zero(self, a: MatScalar) -> bool:
         # the canonical zero has denominator 1, so its num is all zeros

@@ -30,16 +30,6 @@ def substream(seed: int, *tokens) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_assignment(
-    names: Sequence[str],
-    ring: ScalarRing,
-    rng: random.Random,
-    profile: Optional[SampleProfile] = None,
-) -> dict:
-    """Independent random ring values for each name, in the given order."""
-    return {name: ring.random_element(rng, profile) for name in names}
-
-
 def sample_matrix(
     ring: ScalarRing,
     n_rows: int,
@@ -110,7 +100,7 @@ class Draw:
         return mat
 
     def assignment(self, names: Sequence[str], ring: ScalarRing) -> dict:
-        sigma = sample_assignment(names, ring, self.rng, self.profile)
+        sigma = {name: ring.random_element(self.rng, self.profile) for name in names}
         self.log.append(
             {
                 "t": "assignment",
@@ -214,12 +204,12 @@ class ReplayDraw(Draw):
         return self._matrix(ring, n, n, invertible)
 
     def _matrix(self, ring, n_rows, n_cols, check: Callable):
-        want = [ring.spec(), list(range(1, n_rows + 1)), list(range(1, n_cols + 1))]
-        fields = ("ring", "row_labels", "col_labels")
-
         def fits(rec):
             v = rec["v"] if isinstance(rec["v"], dict) else {}
-            return [v.get(k) for k in fields] == want and _is_grid(v.get("entries"), n_rows, n_cols)
+            rows, cols = v.get("row_labels"), v.get("col_labels")
+            labels = _is_range(rows, n_rows) and _is_range(cols, n_cols)
+            grid = _is_grid(v.get("entries"), n_rows, n_cols)
+            return v.get("ring") == ring.spec() and labels and grid
 
         def read(v):
             entries = [[ring.deserialize(x) for x in row] for row in v["entries"]]
@@ -249,10 +239,17 @@ class ReplayDraw(Draw):
         return tuple(self._next("ints", fits))
 
     def permutation(self, n):
-        perm = list(range(1, n + 1))
-        return tuple(self._next("ints", lambda rec: _int_list(rec["v"]) and sorted(rec["v"]) == perm))
+        # a permutation of 1..n is a list of ints that sorts to 1..n
+        return tuple(
+            self._next("ints", lambda rec: _int_list(rec["v"]) and _is_range(sorted(rec["v"]), n))
+        )
 
 
 def _int_list(v) -> bool:
     # a bool is an int to isinstance, so int draws compare types exactly
     return type(v) is list and all(type(x) is int for x in v)
+
+
+def _is_range(v, n: int) -> bool:
+    # whether v is the list 1..n; by its length first, so a large n costs only v's size
+    return type(v) is list and len(v) == n and v == list(range(1, n + 1))

@@ -10,6 +10,8 @@ line (run with -s or -rP to see the lines alongside the test names).
 import copy
 import hashlib
 import json
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -255,9 +257,35 @@ HELD_OUT_REPORT_SHA256 = {
 }
 
 
+# per seed (in hex), the sha256 of each entry of the report, and one of
+# its other fields but the timing (schema, config, summary, exit code):
+# where a whole-report digest moves, these name what moved
+ENTRY_SHA256 = json.loads((Path(__file__).parent / "report_entry_digests.json").read_text())
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def _report_digest(report: dict) -> str:
-    stripped = {k: v for k, v in report.items() if k != "elapsed_s"}
-    return hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest()
+    return _sha256({k: v for k, v in report.items() if k != "elapsed_s"})
+
+
+@cache
+def _held_out_report(seed: int) -> dict:
+    return run_suite(RunConfig(seed=seed, samples=3))
+
+
+def _moved(report: dict, seed: int) -> list:
+    """The ids of the entries whose digests differ from the pinned ones,
+    entries missing on either side included, then "fields" if the other
+    fields' digest differs."""
+    pinned = ENTRY_SHA256[hex(seed)]
+    got = {entry["id"]: _sha256(entry) for entry in report["identities"]}
+    want = pinned["entries"]
+    moved = sorted(i for i in got.keys() | want.keys() if got.get(i) != want.get(i))
+    fields = {k: v for k, v in report.items() if k not in ("identities", "elapsed_s")}
+    return moved + ["fields"] * (_sha256(fields) != pinned["fields"])
 
 
 def test_criterion_9_default_report_is_pinned(full_report):
@@ -271,8 +299,16 @@ def test_criterion_9_default_report_is_pinned(full_report):
 
 @pytest.mark.parametrize("seed", sorted(HELD_OUT_REPORT_SHA256))
 def test_held_out_seed_reports_are_pinned(seed):
-    digest = _report_digest(run_suite(RunConfig(seed=seed, samples=3)))
-    assert digest == HELD_OUT_REPORT_SHA256[seed]
+    assert _report_digest(_held_out_report(seed)) == HELD_OUT_REPORT_SHA256[seed]
+
+
+def test_default_report_entries_are_pinned(full_report):
+    assert _moved(full_report, DEFAULT.seed) == []
+
+
+@pytest.mark.parametrize("seed", sorted(HELD_OUT_REPORT_SHA256))
+def test_held_out_report_entries_are_pinned(seed):
+    assert _moved(_held_out_report(seed), seed) == []
 
 
 def test_full_run_meets_expectations(full_report):

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -220,6 +222,58 @@ def test_replay_of_a_malformed_report_is_a_usage_error(rewrite, tmp_path, capsys
     code, err = _replay_rewritten("FALSE-COMMUTE", rewrite, tmp_path, capsys)
     assert code == 3
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "ident,claims",
+    [
+        ("FALSE-QDET-ENTRY", {"identity": "QDET-DEF-AGREE", "n": 10**6}),
+        ("FALSE-QDET-ENTRY", {"identity": "LAMBDA-SYMMETRY", "n": 10**6}),
+        ("FALSE-QDET-ENTRY", {"identity": "RIBBON-BASIS", "n": 10**6}),
+        ("FALSE-COMMUTE", {"d": 1000}),
+    ],
+    ids=["matrix-labels", "permutation", "compositions", "ring-dimension"],
+)
+def test_replay_of_a_record_larger_than_its_cell_is_a_usage_error_in_small_memory(
+    ident, claims, tmp_path, capsys
+):
+    # the record's draws are those of a small cell: replay has to refuse
+    # them at the cost of their own size, not of the size the record claims
+    report_path = tmp_path / "out.json"
+    assert main(["verify", "--only", ident, "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    report["identities"][0]["counterexample"].update(claims)
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["replay", "--report", str(report_path), "--id", ident])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "replay log mismatch" in capsys.readouterr().err
+    assert peak < 5 * 2**20
+
+
+# 100,000 nested arrays: deeper than json's decoder recurses
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text,command",
+    [
+        (_DEEP, ["replay", "--id", "X", "--report"]),
+        (f'{{"entries": {_DEEP}}}', ["qdet", "--p", "1", "--q", "1", "--matrix"]),
+    ],
+    ids=["report", "matrix"],
+)
+def test_a_json_file_nested_too_deeply_is_a_usage_error(text, command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_verify_filters_dims(capsys):

@@ -18,11 +18,9 @@ from quasidet.formula import (
     evaluate,
     formula_height,
     free_vars,
-    inv,
     parse,
     qdet_formula,
     to_text,
-    var,
 )
 from quasidet.formula import _postorder
 from quasidet.harness import (
@@ -42,14 +40,14 @@ from quasidet.sampling import RESAMPLE_LIMIT, sample_matrix
 
 
 def test_never_defined_inverse_raises():
-    f = inv(var("x") - var("x"))
+    f = Inv(Var("x") - Var("x"))
     with pytest.raises(DomainError) as err:
         evaluate(f, {"x": Fraction(5)}, Rationals())
     assert isinstance(err.value.payload, Inv)
 
 
 def test_inverse_law():
-    f = var("x") * inv(var("x"))
+    f = Var("x") * Inv(Var("x"))
     assert evaluate(f, {"x": Fraction(7, 3)}, Rationals()) == 1
     M2 = SquareMatrices(2)
     point = M2.deserialize([["1", "2"], ["3", "4"]])
@@ -57,14 +55,14 @@ def test_inverse_law():
 
 
 def test_double_inverse():
-    f = inv(inv(var("x")))
+    f = Inv(Inv(Var("x")))
     assert evaluate(f, {"x": Fraction(2, 3)}, Rationals()) == Fraction(2, 3)
 
 
 def test_integer_constants_and_fractions():
     f = parse("2 * x + 1")
     assert evaluate(f, {"x": Fraction(1, 2)}, Rationals()) == 2
-    g = Const(Fraction(3, 4)) * var("x")
+    g = Const(Fraction(3, 4)) * Var("x")
     assert evaluate(g, {"x": Fraction(4)}, Rationals()) == 3
 
 
@@ -74,20 +72,20 @@ def test_var_name_nonempty():
 
 
 def test_free_vars_shared_dag():
-    x = var("x")
+    x = Var("x")
     shared = Add(x, x)
-    assert free_vars(Mul(shared, var("y"))) == {"x", "y"}
+    assert free_vars(Mul(shared, Var("y"))) == {"x", "y"}
 
 
 def test_height_examples():
-    assert formula_height(var("x")) == 0
+    assert formula_height(Var("x")) == 0
     assert formula_height(parse("inv(x + inv(y))")) == 2
     assert formula_height(parse("x + y * x")) == 0
 
 
 def test_height_of_deep_inversion_chain():
     # far deeper than the interpreter's recursion limit
-    f = var("x")
+    f = Var("x")
     for _ in range(10_000):
         f = Inv(f)
     assert formula_height(f) == 10_000
@@ -140,7 +138,7 @@ def test_inversion_height_check_memory_peak():
 
 
 def test_formula_nodes_have_no_instance_dict():
-    x = var("x")
+    x = Var("x")
     for node in (Const(1), x, Neg(x), Add(x, x), Mul(x, x), Inv(x)):
         assert not hasattr(node, "__dict__")
 
@@ -347,7 +345,7 @@ class TestEquivalence:
 
     def test_degenerate_domain_exhausts(self):
         v = equivalent(
-            inv(var("x") - var("x")),
+            Inv(Var("x") - Var("x")),
             parse("1"),
             RunConfig(dims=[1, 2], samples=2, seed=3),
         )

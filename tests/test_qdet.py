@@ -111,7 +111,7 @@ class TestExpansion:
     def test_two_by_two_row_expansion_is_definition(self, rng, M2):
         A = sample_matrix(M2, 2, 2, rng)
         try:
-            assert qdet_expansion(A, 1, 1, "row") == qdet(A, 1, 1)
+            assert qdet_expansion(A, 1, 1, "row", 2) == qdet(A, 1, 1)
         except DomainError:
             pass
 
@@ -236,12 +236,12 @@ class TestHeredity:
     def test_trivial_partition_is_plain_qdet(self, rng, Q):
         A = sample_matrix(Q, 3, 3, rng)
         v, _ = sample_nondegenerate(
-            Q, 3, rng, lambda B: heredity_qdet(B, [3], [3], (1, 1), (2, 3))
+            Q, 3, rng, lambda B: heredity_qdet(B, B.row_labels, B.col_labels, 2, 3)
         )
         # with one block the two-step value is the plain quasideterminant
         B = sample_matrix(Q, 3, 3, rng)
         try:
-            assert heredity_qdet(B, [3], [3], (1, 1), (2, 3)) == qdet(B, 2, 3)
+            assert heredity_qdet(B, B.row_labels, B.col_labels, 2, 3) == qdet(B, 2, 3)
         except DomainError:
             pass
 
@@ -250,7 +250,7 @@ class TestHeredity:
         while hits < 5:
             A = sample_matrix(Q, 4, 4, rng)
             try:
-                v = heredity_qdet(A, [2, 2], [2, 2], (1, 1), (2, 2))
+                v = heredity_qdet(A, (1, 2), (1, 2), 2, 2)
             except DomainError:
                 continue
             full = det_leibniz([list(r) for r in A.entries])
@@ -263,7 +263,7 @@ class TestHeredity:
         while hits < 3:
             A = sample_matrix(M2, 4, 4, rng)
             try:
-                v = heredity_qdet(A, [1, 3], [1, 3], (2, 2), (3, 4))
+                v = heredity_qdet(A, (2, 3, 4), (2, 3, 4), 3, 4)
             except DomainError:
                 continue
             assert v == qdet(A, 3, 4)
@@ -288,7 +288,7 @@ class TestHeredity:
                 A = sample_matrix(ring, n, n, rng)
                 i, j = rng.choice(rows), rng.choice(cols)
                 try:
-                    v = heredity_qdet(A, row_sizes, col_sizes, block_pivot, (i, j))
+                    v = heredity_qdet(A, rows, cols, i, j)
                     direct = qdet(A, i, j)
                     recursive = qdet(A, i, j, "recursive")
                 except DomainError:

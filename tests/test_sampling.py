@@ -9,21 +9,20 @@ from quasidet.sampling import (
     RESAMPLE_LIMIT,
     Draw,
     ReplayDraw,
-    sample_assignment,
     substream,
 )
 
 
 def test_assignment_reproducible_rationals():
-    a = sample_assignment(["x"], Rationals(), random.Random(1))
-    b = sample_assignment(["x"], Rationals(), random.Random(1))
+    a = Draw(random.Random(1)).assignment(["x"], Rationals())
+    b = Draw(random.Random(1)).assignment(["x"], Rationals())
     assert a == b
 
 
 def test_assignment_reproducible_matrix_scalars():
     ring = SquareMatrices(2)
-    a = sample_assignment(["x", "y"], ring, random.Random(7))
-    b = sample_assignment(["x", "y"], ring, random.Random(7))
+    a = Draw(random.Random(7)).assignment(["x", "y"], ring)
+    b = Draw(random.Random(7)).assignment(["x", "y"], ring)
     assert a == b
     assert set(a) == {"x", "y"}
 
