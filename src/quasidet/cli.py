@@ -43,12 +43,7 @@ from .rings import DomainError, format_fraction
 
 
 def _load_matrix(path: str):
-    with open(path) as handle:
-        try:
-            spec = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
-    return matrix_from_expressions(spec)
+    return matrix_from_expressions(load_report(path))
 
 
 def _cmd_verify(args) -> int:
@@ -153,10 +148,9 @@ def _cmd_contfrac(args) -> int:
 
 def _cmd_rr(args) -> int:
     lhs, rhs = cf.rr_sides(args.order, args.depth)
-    base = lhs.ring.base
     ok = True
     for k in range(args.order + 1):
-        match = base.equals(lhs.coeffs[k], rhs.coeffs[k])
+        match = lhs.coeffs[k] == rhs.coeffs[k]
         ok = ok and match
         print(f"z^{k}: {lhs.coeffs[k]!r}  {'==' if match else '!='}  {rhs.coeffs[k]!r}")
     print(f"all coefficients match: {ok}")

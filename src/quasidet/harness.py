@@ -266,7 +266,9 @@ def write_report(report: dict, path: str) -> None:
         handle.write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def load_report(path: str) -> dict:
+def load_report(path: str):
+    """The JSON value in the file at ``path``, a report or a matrix file;
+    ValueError when it nests deeper than json's decoder recurses."""
     with open(path) as handle:
         try:
             return json.load(handle)
@@ -287,6 +289,10 @@ def replay_counterexample(
     """
     if not isinstance(counterexample, dict):
         raise ValueError(f"a counterexample is a JSON object, got {counterexample!r}")
+    fields = ("n", "d", "draws") if desc else ("n", "d", "draws", "identity")
+    missing = [k for k in fields if k not in counterexample]
+    if missing:
+        raise ValueError(f"a counterexample needs the fields {', '.join(missing)}")
     n, d = counterexample["n"], counterexample["d"]
     # a bool is an int to isinstance, so the type is compared exactly
     if type(n) is not int or n < 0 or type(d) is not int or d < 1:
@@ -300,9 +306,9 @@ def replay_counterexample(
         draw.check_exhausted()
         rec = found.record
         reproduced = (
-            rec["label"] == counterexample["label"]
-            and rec["lhs"] == counterexample["lhs"]
-            and rec["rhs"] == counterexample["rhs"]
+            rec["label"] == counterexample.get("label")
+            and rec["lhs"] == counterexample.get("lhs")
+            and rec["rhs"] == counterexample.get("rhs")
         )
         return {"reproduced": reproduced, **rec}
     except DomainError as err:

@@ -12,14 +12,13 @@ each raises ValueError unless they are equal.
 from __future__ import annotations
 
 from math import lcm
-from typing import Sequence
 
 # invert_rational stays importable from this module: bench/tracer.py
 # wraps it under this name
 from .exactlin import invert_rational, solve_rows
 from .rings import (
     DomainError, QRationalFunctions, Rationals, ScalarRing, SeriesElement, SquareMatrices,
-    TruncatedSeriesRing, _is_grid,
+    TruncatedSeriesRing, _is_grid, _order_solve,
 )
 
 
@@ -149,27 +148,6 @@ class NcMatrix:
             col_order,
         )
 
-    def block_partition(self, row_sizes: Sequence[int], col_sizes: Sequence[int]):
-        """Partition into a grid of submatrices; returns (blocks, row_groups,
-        col_groups) where blocks[i][j] is an NcMatrix and the groups are the
-        label tuples of each band."""
-        if sum(row_sizes) != self.n_rows or sum(col_sizes) != self.n_cols:
-            raise ValueError("cut sizes must sum to the dimensions")
-        if any(s <= 0 for s in row_sizes) or any(s <= 0 for s in col_sizes):
-            raise ValueError("cut sizes must be positive")
-        row_groups, pos = [], 0
-        for s in row_sizes:
-            row_groups.append(self.row_labels[pos : pos + s])
-            pos += s
-        col_groups, pos = [], 0
-        for s in col_sizes:
-            col_groups.append(self.col_labels[pos : pos + s])
-            pos += s
-        blocks = [
-            [self.select(rg, cg) for cg in col_groups] for rg in row_groups
-        ]
-        return blocks, row_groups, col_groups
-
     # -- one-sided row/column operations --------------------------------------
 
     def scale_row_left(self, i, lam) -> "NcMatrix":
@@ -296,8 +274,8 @@ class NcMatrix:
 
         Over a ring with ``flat_dim`` this is one elimination of the
         flattened rows [M | B].  Over truncated series M = sum M_i t^i it is
-        the order recursion X_k = M_0^-1 (B_k - sum_{i>=1} M_i X_{k-i}),
-        with M_0 inverted once over the base and zero M_i skipped.
+        the series ring's order recursion (``rings._order_solve``) over the
+        coefficient matrices, with M_0 inverted once over the base.
         """
         if not self.is_square():
             raise ValueError("only square matrices can be solved against")
@@ -315,27 +293,23 @@ class NcMatrix:
 
     def _solve_series(self, B: "NcMatrix") -> "NcMatrix":
         ring = self.ring
-        base = ring.base
         rows, cols, out_cols = self.row_labels, self.col_labels, B.col_labels
 
-        def coeff(X, k, col_labels):  # the t^k coefficient matrix of X
-            entries = tuple(tuple(x.coeffs[k] for x in row) for row in X.entries)
-            return NcMatrix._make(base, entries, rows, col_labels)
+        def coeffs(X, col_labels):  # the coefficient matrices of X, t^0 first
+            return [
+                NcMatrix._make(
+                    ring.base, tuple(tuple(x.coeffs[k] for x in row) for row in X.entries),
+                    rows, col_labels,
+                )
+                for k in range(ring.order + 1)
+            ]
 
+        m = coeffs(self, cols)
         try:
-            inv0 = coeff(self, 0, cols).inverse()
+            inv0 = m[0].inverse()
         except DomainError:
             raise DomainError("matrix is singular over " + ring.name, payload=self) from None
-        tail = [(i, coeff(self, i, cols)) for i in range(1, ring.order + 1)]
-        tail = [(i, Mi) for i, Mi in tail if not Mi.is_zero_matrix()]
-        X = []
-        for k in range(ring.order + 1):
-            rhs = coeff(B, k, out_cols)
-            for i, Mi in tail:
-                if i > k:
-                    break
-                rhs = rhs - Mi * X[k - i]
-            X.append(inv0 * rhs)
+        X = _order_solve(inv0, m, coeffs(B, out_cols), NcMatrix.is_zero_matrix)
         entries = tuple(
             tuple(SeriesElement(ring, [Xk.entries[r][c] for Xk in X]) for c in range(B.n_cols))
             for r in range(self.n_rows)

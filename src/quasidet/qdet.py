@@ -197,33 +197,30 @@ def block_qdet(A: NcMatrix, rows: Sequence, cols: Sequence) -> NcMatrix:
     return S - A.select(rows, M.col_labels) * M.solve(A.select(M.row_labels, cols))
 
 
-def heredity_via_block_ring(
-    A: NcMatrix, block_size: int, block_pivot: tuple, inner_pivot: tuple
-):
-    """Uniform-partition heredity through the ring of blocks.
+def heredity_via_block_ring(A: NcMatrix, rows: Sequence, cols: Sequence, p, q):
+    """``heredity_qdet`` computed through the ring of blocks.
 
-    The blocks become scalars of a matrix ring, the block-level
-    quasideterminant is computed there, and the inner quasideterminant
-    is taken of the resulting block.  Cross-checks ``heredity_qdet``.
+    A is cut into the uniform partition with blocks of size len(rows);
+    the blocks become scalars of a matrix ring, the block-level
+    quasideterminant is taken there at the pivot block (rows, cols), and
+    the inner quasideterminant of the result at (p, q).  ValueError unless
+    (rows, cols) is one block of that partition.
     """
-    n = A.n_rows
-    if n % block_size or A.n_cols != n:
-        raise ValueError("uniform partition requires block_size | n")
-    s = n // block_size
-    blocks, row_groups, col_groups = A.block_partition(
-        [block_size] * s, [block_size] * s
-    )
-    R = MatrixRing(A.ring, block_size)
-    canonical = [
-        [NcMatrix(A.ring, blocks[i][j].entries) for j in range(s)] for i in range(s)
+    n, b = A.n_rows, len(rows)
+    if A.n_cols != n or not b or n % b:
+        raise ValueError("a uniform partition needs a square A and len(rows) dividing its size")
+    row_groups = [A.row_labels[k : k + b] for k in range(0, n, b)]
+    col_groups = [A.col_labels[k : k + b] for k in range(0, n, b)]
+    try:
+        bp = [set(g) for g in row_groups].index(set(rows)) + 1
+        bq = [set(g) for g in col_groups].index(set(cols)) + 1
+    except ValueError:
+        raise ValueError("the pivot block must be one block of the uniform partition") from None
+    blocks = [
+        [NcMatrix(A.ring, A.select(rg, cg).entries) for cg in col_groups] for rg in row_groups
     ]
-    tilde = NcMatrix(R, canonical)
-    bp, bq = block_pivot
-    inner = qdet(tilde, bp, bq)
-    relabeled = NcMatrix(
-        A.ring, inner.entries, row_groups[bp - 1], col_groups[bq - 1]
-    )
-    return qdet(relabeled, inner_pivot[0], inner_pivot[1])
+    inner = qdet(NcMatrix(MatrixRing(A.ring, b), blocks), bp, bq)
+    return qdet(NcMatrix(A.ring, inner.entries, row_groups[bp - 1], col_groups[bq - 1]), p, q)
 
 
 def sylvester_matrix(A: NcMatrix, pivot_set: Iterable) -> NcMatrix:

@@ -208,11 +208,8 @@ class ScalarRing:
     def one(self):
         raise NotImplementedError
 
-    def equals(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
-        return self.equals(a, self.zero)
+        return a == self.zero
 
     def coerce(self, x):
         """Canonical ring element for x; ints embed via from_int."""
@@ -639,10 +636,20 @@ class SquareMatrices(ScalarRing):
         return MatScalar(tuple(map(tuple, num)), den)
 
 
-def _zeros_filled(coeffs, base):
-    """``coeffs`` with each ``None`` (an empty sum) replaced by zero."""
-    zero = base.zero
-    return [zero if c is None else c for c in coeffs]
+def _order_solve(inv0, m, b, is_zero) -> list:
+    """X_0..X_L with (sum_i m_i t^i)(sum_k X_k t^k) = sum_k b_k t^k up to
+    t^L, given ``inv0`` = m_0^-1: the order recursion
+    X_k = m_0^-1 (b_k - sum_{i>=1} m_i X_{k-i}), skipping each m_i that
+    ``is_zero`` takes.  Serves series elements and coefficient matrices."""
+    tail = [(i, mi) for i, mi in enumerate(m) if i and not is_zero(mi)]
+    x = []
+    for k, rhs in enumerate(b):
+        for i, mi in tail:
+            if i > k:
+                break
+            rhs = rhs - mi * x[k - i]
+        x.append(inv0 * rhs)
+    return x
 
 
 class SeriesElement:
@@ -698,7 +705,8 @@ class SeriesElement:
                     break
                 term = x * y
                 out[k] = term if out[k] is None else out[k] + term
-        return SeriesElement(ring, _zeros_filled(out, ring.base))
+        zero = ring.base.zero  # for each empty sum
+        return SeriesElement(ring, [zero if c is None else c for c in out])
 
     def __eq__(self, other):
         return (
@@ -720,11 +728,11 @@ class TruncatedSeriesRing(ScalarRing):
     """Series truncated at a fixed order over an arbitrary base ring.
 
     Invertible iff the order-0 coefficient is invertible in the base
-    ring; the inverse is computed order by order and is exact.  Matrices
-    over series are solved and inverted by the same order recursion over
-    their coefficient matrices (``NcMatrix.solve``).  No ``flat_dim``: the
-    block Toeplitz embedding is exact but slower to eliminate than that
-    recursion.
+    ring; the inverse is computed order by order and is exact.  One order
+    recursion, ``_order_solve``, inverts an element here and solves a
+    matrix over series over its coefficient matrices (``NcMatrix.solve``).
+    No ``flat_dim``: the block Toeplitz embedding is exact but slower to
+    eliminate than that recursion.
     """
 
     def __init__(self, base: ScalarRing, order: int, variable: str = "t"):
@@ -764,25 +772,10 @@ class TruncatedSeriesRing(ScalarRing):
         return all(map(self.base.is_zero, a.coeffs))
 
     def try_invert(self, a: SeriesElement):
-        base = self.base
-        b0 = base.try_invert(a.coeffs[0])
+        b0 = self.base.try_invert(a.coeffs[0])
         if b0 is None:
             return None
-        is_zero = base.is_zero
-        tail = [(i, c) for i, c in enumerate(a.coeffs) if i and not is_zero(c)]
-        # out[k] = -b0 * sum_{i >= 1} a_i out[k - i], None for an empty sum
-        out = [b0]
-        for k in range(1, self.order + 1):
-            acc = None
-            for i, c in tail:
-                if i > k:
-                    break
-                y = out[k - i]
-                if y is not None:
-                    term = c * y
-                    acc = term if acc is None else acc + term
-            out.append(None if acc is None else -(b0 * acc))
-        return SeriesElement(self, _zeros_filled(out, base))
+        return SeriesElement(self, _order_solve(b0, a.coeffs, self.one.coeffs, self.base.is_zero))
 
     def from_int(self, m: int):
         return self.element([self.base.from_int(m)])

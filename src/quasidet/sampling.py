@@ -135,8 +135,9 @@ class Draw:
 
 class ReplayDraw(Draw):
     """Feeds back a recorded draw log.  Each record is checked against the
-    draw that reads it: its kind, its ring and shape, and that its value is
-    one the live draw could return, invertibility included.  A record that
+    draw that reads it: its kind and the fields that kind carries, its ring
+    and shape, and that its value is one the live draw could return,
+    invertibility included.  A record that
     does not fit raises ValueError and is not consumed; ``check_exhausted``
     raises one for records left over once the check is done."""
 
@@ -158,7 +159,7 @@ class ReplayDraw(Draw):
             raise ValueError(f"replay log mismatch: record {self.pos} is not an object with a string t")
         if rec["t"] != kind:
             raise ValueError(f"replay log mismatch: wanted {kind}, log has {rec['t']}")
-        if not fits(rec):
+        if "v" not in rec or not fits(rec):
             raise ValueError(f"replay log mismatch: {kind} record {self.pos} does not fit")
         try:
             value = read(rec["v"])
@@ -179,7 +180,7 @@ class ReplayDraw(Draw):
             )
 
     def scalar(self, ring):
-        return self._next("scalar", lambda rec: rec["ring"] == ring.spec(), ring.deserialize)
+        return self._next("scalar", lambda rec: rec.get("ring") == ring.spec(), ring.deserialize)
 
     def invertible_scalar(self, ring):
         def read(v):
@@ -188,7 +189,7 @@ class ReplayDraw(Draw):
                 raise ValueError(f"not invertible in {ring.name}")
             return x
 
-        return self._next("scalar", lambda rec: rec["ring"] == ring.spec(), read)
+        return self._next("scalar", lambda rec: rec.get("ring") == ring.spec(), read)
 
     def matrix(self, ring, n_rows, n_cols):
         return self._matrix(ring, n_rows, n_cols, lambda mat: mat)
@@ -221,7 +222,8 @@ class ReplayDraw(Draw):
         want = [ring.spec(), list(names)]
         return self._next(
             "assignment",
-            lambda rec: [rec["ring"], rec["order"]] == want and isinstance(rec["v"], dict),
+            lambda rec: [rec.get("ring"), rec.get("order")] == want
+            and isinstance(rec["v"], dict) and rec["v"].keys() == set(names),
             lambda v: {k: ring.deserialize(v[k]) for k in names},
         )
 

@@ -252,6 +252,18 @@ class TestReplay:
         with pytest.raises(ValueError, match="list of identities"):
             replay_from_report(report, "FALSE-COMMUTE")
 
+    @pytest.mark.parametrize("field", ["n", "d", "draws", "identity"])
+    def test_counterexample_missing_a_field_is_a_value_error(self, field):
+        record = copy.deepcopy(run_identity(get_identity("FALSE-COMMUTE"), FAST).counterexample)
+        del record[field]
+        with pytest.raises(ValueError, match=f"needs the fields {field}$"):
+            replay_counterexample(record)
+
+    def test_counterexample_missing_its_stored_sides_does_not_reproduce(self):
+        record = copy.deepcopy(run_identity(get_identity("FALSE-COMMUTE"), FAST).counterexample)
+        del record["label"], record["lhs"], record["rhs"]
+        assert not replay_counterexample(record)["reproduced"]
+
     @pytest.mark.parametrize("record", [[], None, "FALSE-COMMUTE"], ids=["list", "null", "string"])
     def test_counterexample_that_is_not_an_object_is_a_value_error(self, record):
         with pytest.raises(ValueError, match="JSON object"):
@@ -489,7 +501,14 @@ class TestRepeatedQuasideterminants:
     # that recur across samples
     @pytest.mark.parametrize(
         "ident,repeats",
-        [("ALMOST-TRIANGULAR-QDET", 16), ("BEZOUT-FACTOR", 10), ("S-ROUTE-AGREE", 0)],
+        [
+            ("ALMOST-TRIANGULAR-QDET", 16),
+            ("BEZOUT-FACTOR", 10),
+            ("S-ROUTE-AGREE", 0),
+            ("HOMOLOGICAL-ROW", 0),
+            ("HOMOLOGICAL-COL", 0),
+            ("HOMOLOGICAL-QPC", 15),
+        ],
     )
     def test_repeat_count_is_pinned(self, ident, repeats, monkeypatch):
         qdet_module = importlib.import_module("quasidet.qdet")

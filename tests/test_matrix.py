@@ -82,13 +82,6 @@ class TestSubmatrices:
         with pytest.raises(KeyError):
             A22.select([1], [7])
 
-    def test_block_partition(self, Q):
-        A = NcMatrix(Q, [[i * 4 + j for j in range(4)] for i in range(4)])
-        blocks, row_groups, col_groups = A.block_partition([2, 2], [1, 3])
-        assert row_groups == [(1, 2), (3, 4)]
-        assert col_groups == [(1,), (2, 3, 4)]
-        assert blocks[1][0].entries == ((Fraction(8),), (Fraction(12),))
-
     def test_duplicate_labels_rejected(self, Q):
         with pytest.raises(ValueError):
             NcMatrix(Q, [[1, 2], [3, 4]], row_labels=[1, 1])
@@ -375,11 +368,11 @@ class TestMatrixRing:
         assert R.unflatten(R.flatten(a)) == a
 
     def test_serialize_refuses_noncanonical_labels(self, Q):
-        # equals sees labels, the entries-only serialization would not
+        # == sees labels, the entries-only serialization would not
         R = MatrixRing(Q, 2)
         a = NcMatrix(Q, [[1, 2], [3, 4]])
         b = NcMatrix(Q, [[1, 2], [3, 4]], row_labels=(2, 1))
-        assert not R.equals(a, b)
+        assert a != b
         assert R.serialize(a) == [["1", "2"], ["3", "4"]]
         with pytest.raises(ValueError, match=r"rows \(2, 1\)"):
             R.serialize(b)

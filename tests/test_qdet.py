@@ -301,11 +301,40 @@ class TestHeredity:
         while hits < 3:
             A = sample_matrix(M2, 4, 4, rng)
             try:
-                v = heredity_via_block_ring(A, 2, (2, 1), (4, 2))
+                v = heredity_via_block_ring(A, (3, 4), (1, 2), 4, 2)
             except DomainError:
                 continue
             assert v == qdet(A, 4, 2)
             hits += 1
+
+    @pytest.mark.parametrize(
+        "ring_name,n,b", [("Q", 6, 2), ("Q", 6, 3), ("M2", 4, 2)], ids=["Q-b2", "Q-b3", "M2-b2"]
+    )
+    def test_block_ring_route_is_heredity_qdet_on_every_block(self, request, rng, ring_name, n, b):
+        ring = request.getfixturevalue(ring_name)
+        # labels out of order: the partition cuts the label tuples as they stand
+        rows_all, cols_all = tuple(range(2 * n, n, -1)), tuple(range(1, 2 * n, 2))
+        row_groups = [rows_all[k : k + b] for k in range(0, n, b)]
+        col_groups = [cols_all[k : k + b] for k in range(0, n, b)]
+        blocks = [(rows, cols) for rows in row_groups for cols in col_groups]
+
+        def every_block(M):
+            A = NcMatrix(ring, M.entries, rows_all, cols_all)
+            return [heredity_qdet(A, r, c, r[-1], c[0]) for r, c in blocks], A
+
+        (expected, A), _ = sample_nondegenerate(ring, n, rng, every_block)
+        got = [heredity_via_block_ring(A, r, c, r[-1], c[0]) for r, c in blocks]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [((2, 3), (1, 2)), ((1, 2), (2, 3)), ((1, 2), (1, 2, 3, 4)), ((1, 2, 3), (1, 2, 3)), ((), ())],
+        ids=["rows-straddle", "cols-straddle", "not-square", "size-not-dividing", "empty"],
+    )
+    def test_block_ring_route_refuses_a_pivot_that_is_not_a_block(self, Q, rows, cols):
+        A = NcMatrix(Q, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+        with pytest.raises(ValueError):
+            heredity_via_block_ring(A, rows, cols, 1, 1)
 
 
 class TestSylvester:

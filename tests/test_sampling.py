@@ -129,6 +129,13 @@ def _keep(rec):
     pass
 
 
+def _drop(key):
+    def edit(rec):
+        del rec[key]
+
+    return edit
+
+
 # each case: a live draw, an edit of its one record, and the replayed draw
 # that must refuse the edited record
 REFUSED = {
@@ -214,6 +221,41 @@ REFUSED = {
         lambda d: d.permutation(2),
         _set("v", [1, 2, 3]),
         lambda r: r.permutation(2),
+    ),
+    # a record missing a field its kind carries
+    "scalar-no-v": (lambda d: d.scalar(M2), _drop("v"), lambda r: r.scalar(M2)),
+    "scalar-no-ring": (lambda d: d.scalar(M2), _drop("ring"), lambda r: r.scalar(M2)),
+    "invertible-scalar-no-v": (
+        lambda d: d.invertible_scalar(M2),
+        _drop("v"),
+        lambda r: r.invertible_scalar(M2),
+    ),
+    "int-no-v": (lambda d: d.int_range(1, 6), _drop("v"), lambda r: r.int_range(1, 6)),
+    "ints-no-v": (
+        lambda d: d.subset(range(1, 8), 2),
+        _drop("v"),
+        lambda r: r.subset(range(1, 8), 2),
+    ),
+    "matrix-no-v": (lambda d: d.matrix(M2, 2, 2), _drop("v"), lambda r: r.matrix(M2, 2, 2)),
+    "assignment-no-v": (
+        lambda d: d.assignment(["x"], M2),
+        _drop("v"),
+        lambda r: r.assignment(["x"], M2),
+    ),
+    "assignment-no-ring": (
+        lambda d: d.assignment(["x"], M2),
+        _drop("ring"),
+        lambda r: r.assignment(["x"], M2),
+    ),
+    "assignment-no-order": (
+        lambda d: d.assignment(["x"], M2),
+        _drop("order"),
+        lambda r: r.assignment(["x"], M2),
+    ),
+    "assignment-value-missing-a-name": (
+        lambda d: d.assignment(["x", "y"], M2),
+        lambda rec: rec["v"].pop("y"),
+        lambda r: r.assignment(["x", "y"], M2),
     ),
 }
 
